@@ -17,12 +17,9 @@ import tempfile
 from pathlib import Path
 
 from meshtok.generator import (
-    ANSWER_EOS,
-    ANSWER_STOP,
     GeneratorConfig,
     PipePredictor,
     answer_to_json,
-    answer_vertex,
     decode,
     query_from_json,
     run,
@@ -30,23 +27,16 @@ from meshtok.generator import (
 from meshtok.preprocess import quantize
 from meshtok.procgen import torus
 from meshtok.sequencer import encode
-from meshtok.streamio import read_stream, write_stream
+from meshtok.streamio import read_stream_answers, write_stream
 
 
 def serve(stream_path: str) -> None:
     """Child side: answer each query with the next recorded output."""
-    seq = read_stream(stream_path)
-    answers = iter(
-        answer_to_json(
-            ANSWER_STOP if rec.output_kind == "stop"
-            else ANSWER_EOS if rec.output_kind == "eos"
-            else answer_vertex(rec.output_vertex)
-        )
-        for rec in seq.records
-    )
+    _, _, answers = read_stream_answers(stream_path)
+    feed = iter(answers)
     for line in sys.stdin:
         query_from_json(line)  # parse for validation; a sampler would use it
-        print(next(answers), flush=True)
+        print(answer_to_json(next(feed)), flush=True)
 
 
 def main() -> None:

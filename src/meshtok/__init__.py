@@ -15,12 +15,11 @@ from .core import (
     connected_components,
     dequantize_coord,
     dequantize_mesh,
-    face_normal,
     height_sort_key,
     quantize_coord,
     validate_manifold,
 )
-from .halfedge import DirectedEdge, DuplicateHalfEdgeError, HalfEdgeConnectivity
+from .halfedge import HalfEdgeConnectivity
 from .halfedge import build as build_halfedge
 from .preprocess import (
     AcceptDecision,

@@ -50,13 +50,14 @@ def _fail(message: str) -> None:
 
 def _cmd_tokenize(args: argparse.Namespace) -> int:
     mesh = quantize(read_obj(args.input), args.bits)
-    report = validate_manifold(mesh)
-    if not report.ok:
-        _fail(f"mesh fails validation ({len(report.violations)} violations)")
-        for v in report.violations[:10]:
+    try:
+        seq = encode(mesh, args.order)
+    except InvalidMeshError as exc:
+        violations = exc.report.violations
+        _fail(f"mesh fails validation ({len(violations)} violations)")
+        for v in violations[:10]:
             print(f"  {v.code}: {v.message}", file=sys.stderr)
         return 1
-    seq = encode(mesh, args.order)
     if args.text:
         streamio.write_text_stream(seq, args.output)
     else:

@@ -1,4 +1,4 @@
-"""Mesh data model: quantized and real triangle meshes, validation, components, normals.
+"""Mesh data model: quantized and real triangle meshes, validation, components.
 
 Coordinates live on an integer grid of ``2**bits`` cells per axis spanning the
 cube ``[-0.5, 0.5]``. The z axis is treated as the height axis throughout; all
@@ -8,7 +8,7 @@ cube ``[-0.5, 0.5]``. The z axis is treated as the height axis throughout; all
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,14 +81,6 @@ def dequantize_coord(q: int, bits: int) -> float:
     return (q + 0.5) / (1 << bits) - 0.5
 
 
-def dequantize_vertex(v: QuantizedVertex, bits: int) -> tuple[float, float, float]:
-    return (
-        dequantize_coord(v.x, bits),
-        dequantize_coord(v.y, bits),
-        dequantize_coord(v.z, bits),
-    )
-
-
 def dequantized_vertex_array(mesh: QuantizedMesh) -> np.ndarray:
     """All mesh vertices dequantized to an (n, 3) float64 array."""
     if not mesh.vertices:
@@ -112,35 +104,11 @@ def validate_manifold(mesh: QuantizedMesh) -> ValidationReport:
     simultaneously rules out edges shared by more than two faces and
     inconsistent winding between neighbors. Bowtie (vertex-nonmanifold)
     configurations are allowed; edge-based traversal does not need vertex
-    manifoldness.
+    manifoldness. The report is the one ``halfedge.build`` makes in its walk.
     """
-    violations: list[Violation] = []
-    n_verts = len(mesh.vertices)
-    if not mesh.faces:
-        violations.append(Violation("no_faces", "mesh has no faces"))
-    seen: dict[tuple[int, int], int] = {}
-    for fi, f in enumerate(mesh.faces):
-        if not all(0 <= v < n_verts for v in f):
-            violations.append(
-                Violation("index_out_of_range", f"face {fi} references a missing vertex")
-            )
-            continue
-        if f.a == f.b or f.b == f.c or f.a == f.c:
-            violations.append(
-                Violation("degenerate_face", f"face {fi} repeats a vertex index")
-            )
-            continue
-        for o, d in ((f.a, f.b), (f.b, f.c), (f.c, f.a)):
-            if (o, d) in seen:
-                violations.append(
-                    Violation(
-                        "duplicate_directed_edge",
-                        f"directed edge ({o},{d}) appears in faces {seen[(o, d)]} and {fi}",
-                    )
-                )
-            else:
-                seen[(o, d)] = fi
-    return ValidationReport(not violations, violations)
+    from .halfedge import build  # halfedge imports this module
+
+    return build(mesh).report
 
 
 def connected_components(mesh: QuantizedMesh) -> list[set[int]]:
@@ -175,19 +143,3 @@ def connected_components(mesh: QuantizedMesh) -> list[set[int]]:
                         stack.append(nb)
         components.append(comp)
     return components
-
-
-def face_normal(mesh: QuantizedMesh, face: Face) -> Optional[np.ndarray]:
-    """Unit normal of ``(b - a) x (c - a)`` in dequantized coordinates.
-
-    Returns None when the cross product's magnitude falls below 1e-12
-    (zero-area face).
-    """
-    pa = np.asarray(dequantize_vertex(mesh.vertices[face.a], mesh.bits))
-    pb = np.asarray(dequantize_vertex(mesh.vertices[face.b], mesh.bits))
-    pc = np.asarray(dequantize_vertex(mesh.vertices[face.c], mesh.bits))
-    n = np.cross(pb - pa, pc - pa)
-    length = float(np.linalg.norm(n))
-    if length < 1e-12:
-        return None
-    return n / length

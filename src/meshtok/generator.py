@@ -10,7 +10,8 @@ over the union of seen vertices.
 
 Answers that would emit a face with a repeated vertex position are coerced
 to STOP, as are duplicate faces when the duplicate check is on. Coercions
-record STOP in the transcript, so transcripts always replay cleanly.
+record STOP in the transcript, so transcripts always replay cleanly. A vertex
+outside the ``2**bits`` grid is an illegal answer.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ class GeneratorConfig:
     bits: int = 7
     order: str = DFS
     duplicate_check: bool = True
-    edge_conflict_check: bool = False
     max_steps: int = 10000
 
 
@@ -103,7 +103,7 @@ class _Machine:
         self.verts: list[QuantizedVertex] = []
         self.faces: list[Face] = []
         self.canonical: set[frozenset[int]] = set()
-        self.used_edges: set[tuple[int, int]] = set()
+        self.cells = 1 << cfg.bits
         self.records: list[StepRecord] = []
         self.component = 0
         self.step = 0
@@ -132,26 +132,34 @@ class _Machine:
 
     def apply(self, query: PredictorQuery, answer: PredictorAnswer) -> None:
         kind = query.kind
+        v = answer.vertex
+        if answer.kind == VERTEX:
+            assert v is not None
+            cells = self.cells
+            if not (0 <= v.x < cells and 0 <= v.y < cells and 0 <= v.z < cells):
+                raise IllegalAnswerError(
+                    f"step {query.step}: vertex {tuple(v)} outside the "
+                    f"{self.cfg.bits}-bit grid"
+                )
         if kind == SOS:
             if answer.kind == EOS:
                 self.records.append(StepRecord(SOS, None, EOS, None))
                 self.done = True
             elif answer.kind == VERTEX:
-                assert answer.vertex is not None
-                self.intern(answer.vertex)
-                self.records.append(StepRecord(SOS, None, VERTEX, answer.vertex))
-                self.v1 = answer.vertex
+                self.intern(v)
+                self.records.append(StepRecord(SOS, None, VERTEX, v))
+                self.v1 = v
                 self.mode = SOS2
             else:
                 raise IllegalAnswerError(f"step {query.step}: {answer.kind} answers SOS")
         elif kind == SOS2:
             if answer.kind != VERTEX:
                 raise IllegalAnswerError(f"step {query.step}: {answer.kind} answers SOS2")
-            assert answer.vertex is not None and self.v1 is not None
-            self.intern(answer.vertex)
-            self.records.append(StepRecord(SOS2, None, VERTEX, answer.vertex))
-            self.pending.append((answer.vertex, self.v1))  # twin below the start edge
-            self.pending.append((self.v1, answer.vertex))
+            assert self.v1 is not None
+            self.intern(v)
+            self.records.append(StepRecord(SOS2, None, VERTEX, v))
+            self.pending.append((v, self.v1))  # twin below the start edge
+            self.pending.append((self.v1, v))
             self.mode = EDGE
         else:
             edge = query.edge
@@ -159,8 +167,7 @@ class _Machine:
             if answer.kind == STOP:
                 self.records.append(StepRecord(EDGE, edge, STOP, None))
             elif answer.kind == VERTEX:
-                assert answer.vertex is not None
-                self._apply_vertex(edge, answer.vertex, query.step)
+                self._apply_vertex(edge, v, query.step)
             else:
                 raise IllegalAnswerError(f"step {query.step}: {answer.kind} answers EDGE")
         self.step += 1
@@ -180,13 +187,8 @@ class _Machine:
         if self.cfg.duplicate_check and key in self.canonical:
             self.records.append(StepRecord(EDGE, edge, STOP, None))
             return
-        face_edges = ((ia, ib), (ib, ic), (ic, ia))
-        if self.cfg.edge_conflict_check and any(e in self.used_edges for e in face_edges):
-            self.records.append(StepRecord(EDGE, edge, STOP, None))
-            return
         self.faces.append(Face(ia, ib, ic))
         self.canonical.add(key)
-        self.used_edges.update(face_edges)
         self.records.append(StepRecord(EDGE, edge, VERTEX, c))
         self.pending.append((a, c))
         self.pending.append((c, b))
@@ -228,66 +230,30 @@ def run(predictor: Predictor, cfg: Optional[GeneratorConfig] = None) -> RunResul
     return _drive(predictor, cfg or GeneratorConfig(), coerce_degenerate=True)
 
 
-class _ReplayPredictor:
-    """Feeds recorded outputs and insists the machine derives the recorded inputs."""
-
-    def __init__(self, records: list[StepRecord]):
-        self.records = records
-        self.i = 0
-
-    def __call__(self, query: PredictorQuery) -> PredictorAnswer:
-        if self.i >= len(self.records):
-            raise DesyncError("machine ran past the end of the recorded stream")
-        rec = self.records[self.i]
-        self.i += 1
-        if rec.input_kind != query.kind:
-            raise DesyncError(
-                f"step {query.step}: recorded input {rec.input_kind}, "
-                f"machine derived {query.kind}"
-            )
-        if rec.input_kind == EDGE and rec.input_edge != query.edge:
-            raise DesyncError(
-                f"step {query.step}: recorded edge {rec.input_edge}, "
-                f"machine derived {query.edge}"
-            )
-        return PredictorAnswer(rec.output_kind, rec.output_vertex)
-
-
-class _ScriptPredictor:
-    """Feeds a fixed answer list in order, blind to the queries."""
-
-    def __init__(self, answers: list[PredictorAnswer]):
-        self.answers = answers
-        self.i = 0
-
-    def __call__(self, query: PredictorQuery) -> PredictorAnswer:
-        if self.i >= len(self.answers):
-            raise DesyncError("machine ran past the end of the output script")
-        ans = self.answers[self.i]
-        self.i += 1
-        return ans
-
-
 def decode(seq: TokenSequence) -> QuantizedMesh:
     """Strict replay: recover exactly the faces of the EDGE->VERTEX records.
 
-    Raises DesyncError when the recorded inputs disagree with the machine's
-    derived state, MalformedSequenceError when the sequence itself is
-    structurally broken.
+    Replays the recorded outputs and requires the transcript the machine
+    derives to equal the recorded one. Raises DesyncError when the recorded
+    inputs disagree with the machine's derived state, MalformedSequenceError
+    when the sequence itself is structurally broken.
     """
     check_well_formed(seq)
-    replay = _ReplayPredictor(seq.records)
-    cfg = GeneratorConfig(
-        bits=seq.bits,
-        order=seq.order,
-        duplicate_check=False,
-        edge_conflict_check=False,
-        max_steps=len(seq.records),
-    )
-    result = _drive(replay, cfg, coerce_degenerate=False)
-    if result.halt != HALT_EOS or replay.i != len(seq.records):
-        raise DesyncError("recorded stream and machine halted out of step")
-    return result.mesh
+    answers = [PredictorAnswer(r.output_kind, r.output_vertex) for r in seq.records]
+    try:
+        derived = replay_outputs(answers, seq.bits, seq.order)
+    except IllegalAnswerError as exc:
+        # Every record pairs its input with a legal output, so an answer the
+        # machine rejects was recorded against a different input, or lies
+        # outside the sequence's grid.
+        raise DesyncError(f"recorded stream disagrees with the machine: {exc}") from exc
+    for i, (got, rec) in enumerate(zip(derived.transcript.records, seq.records)):
+        if got != rec:
+            raise DesyncError(
+                f"step {i}: recorded input {rec.input_kind} {rec.input_edge}, "
+                f"machine derived {got.input_kind} {got.input_edge}"
+            )
+    return derived.mesh
 
 
 def replay_outputs(
@@ -295,7 +261,6 @@ def replay_outputs(
     bits: int,
     order: str = DFS,
     duplicate_check: bool = False,
-    edge_conflict_check: bool = False,
     coerce_degenerate: bool = False,
 ) -> RunResult:
     """Drive the machine with recorded outputs alone, deriving all inputs.
@@ -304,20 +269,19 @@ def replay_outputs(
     DesyncError when the machine halts before consuming every answer or runs
     out of answers before reaching EOS.
     """
-    script = _ScriptPredictor(answers)
+    if not answers:
+        raise DesyncError("output stream has no terminal EOS")
+    feed = iter(answers)
     cfg = GeneratorConfig(
-        bits=bits,
-        order=order,
-        duplicate_check=duplicate_check,
-        edge_conflict_check=edge_conflict_check,
-        max_steps=max(len(answers), 1),
+        bits=bits, order=order, duplicate_check=duplicate_check, max_steps=len(answers)
     )
-    result = _drive(script, cfg, coerce_degenerate=coerce_degenerate)
+    result = _drive(lambda query: next(feed), cfg, coerce_degenerate=coerce_degenerate)
     if result.halt != HALT_EOS:
         raise DesyncError("output stream has no terminal EOS")
-    if script.i != len(answers):
+    consumed = len(result.transcript.records)
+    if consumed != len(answers):
         raise DesyncError(
-            f"{len(answers) - script.i} trailing records after the machine halted"
+            f"{len(answers) - consumed} trailing records after the machine halted"
         )
     return result
 

@@ -79,7 +79,7 @@ def quantize(mesh: MeshReal, bits: int = 7) -> QuantizedMesh:
     if not 1 <= bits <= 16:
         raise ValueError("bits must be in [1, 16]")
     v = mesh.vertices
-    if v.size and (v.min() < -0.5 - 1e-9 or v.max() > 0.5 + 1e-9):
+    if v.size and not (v.min() >= -0.5 - 1e-9 and v.max() <= 0.5 + 1e-9):  # NaN fails too
         raise OutOfRangeError(
             f"coordinates span [{v.min():.6g}, {v.max():.6g}], expected [-0.5, 0.5]"
         )

@@ -1,4 +1,4 @@
-"""Serialize a validated mesh into a token sequence by half-edge traversal.
+"""Serialize a mesh into a token sequence by half-edge traversal.
 
 Each component contributes two auxiliary steps (its first two vertices),
 then one record per pending-edge pop: VERTEX when the popped edge discovers
@@ -16,14 +16,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .core import (
-    QuantizedMesh,
-    QuantizedVertex,
-    height_sort_key,
-    validate_manifold,
-)
+from .core import QuantizedMesh, QuantizedVertex, ValidationReport, height_sort_key
 from . import halfedge
 
 # Step input kinds.
@@ -49,29 +44,25 @@ EdgePositions = tuple[QuantizedVertex, QuantizedVertex]
 
 
 class InvalidMeshError(ValueError):
-    """Encoding was asked for a mesh that fails validation."""
+    """Encoding was asked for a mesh that fails validation; ``report`` holds
+    every violation."""
+
+    def __init__(self, report: ValidationReport):
+        self.report = report
+        super().__init__("; ".join(v.message for v in report.violations[:5]))
 
 
 class MalformedSequenceError(ValueError):
     """A token sequence violates its structural invariants."""
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One machine step; ``check_well_formed`` checks the field pairings."""
+
     input_kind: str
     input_edge: Optional[EdgePositions]
     output_kind: str
     output_vertex: Optional[QuantizedVertex]
-
-    def __post_init__(self) -> None:
-        if self.output_kind not in _LEGAL_PAIRS.get(self.input_kind, ()):
-            raise MalformedSequenceError(
-                f"illegal record: {self.input_kind} -> {self.output_kind}"
-            )
-        if (self.input_edge is not None) != (self.input_kind == EDGE):
-            raise MalformedSequenceError("input_edge is for EDGE records only")
-        if (self.output_vertex is not None) != (self.output_kind == VERTEX):
-            raise MalformedSequenceError("output_vertex is for VERTEX records only")
 
 
 @dataclass
@@ -93,14 +84,26 @@ class SequenceStats:
 
 
 def check_well_formed(seq: TokenSequence) -> None:
-    """Raise MalformedSequenceError unless the sequence obeys the component
-    grammar and ends with exactly one EOS."""
+    """Raise MalformedSequenceError unless every record pairs a legal input
+    with a legal output, carries an edge exactly when its input is EDGE and a
+    vertex exactly when its output is VERTEX, and the sequence obeys the
+    component grammar and ends with exactly one EOS."""
     if seq.truncated:
         raise MalformedSequenceError("sequence is truncated (budget halt)")
     if not seq.records:
         raise MalformedSequenceError("empty sequence")
     expect = "sos"
     for i, rec in enumerate(seq.records):
+        if rec.output_kind not in _LEGAL_PAIRS.get(rec.input_kind, ()):
+            raise MalformedSequenceError(
+                f"record {i}: illegal record {rec.input_kind} -> {rec.output_kind}"
+            )
+        if (rec.input_edge is not None) != (rec.input_kind == EDGE):
+            raise MalformedSequenceError(f"record {i}: input_edge is for EDGE records only")
+        if (rec.output_vertex is not None) != (rec.output_kind == VERTEX):
+            raise MalformedSequenceError(
+                f"record {i}: output_vertex is for VERTEX records only"
+            )
         if expect == "end":
             raise MalformedSequenceError(f"record {i} after terminal EOS")
         if expect == "sos":
@@ -164,15 +167,16 @@ def encode(
     order: str = DFS,
     start_key: Callable[[QuantizedVertex], tuple] = height_sort_key,
 ) -> TokenSequence:
-    """Tokenize a validated mesh. Deterministic: identical input, identical output."""
+    """Tokenize a mesh. Deterministic: identical input, identical output.
+
+    Raises InvalidMeshError, carrying the validation report, when the mesh
+    fails the half-edge traversal requirement.
+    """
     if order not in (DFS, BFS):
         raise ValueError(f"unknown traversal order: {order!r}")
-    report = validate_manifold(mesh)
-    if not report.ok:
-        raise InvalidMeshError(
-            "; ".join(v.message for v in report.violations[:5])
-        )
     conn = halfedge.build(mesh)
+    if not conn.report.ok:
+        raise InvalidMeshError(conn.report)
     pos = mesh.vertices
     visited = [False] * conn.n_faces
     remaining = conn.n_faces

@@ -22,6 +22,7 @@ Both forms convert losslessly into each other.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Union
@@ -97,9 +98,12 @@ def read_obj(path: Union[str, Path], fan_triangulate: bool = True) -> MeshReal:
                 if len(parts) < 4:
                     raise ObjParseError("vertex needs three coordinates", lineno)
                 try:
-                    verts.append((float(parts[1]), float(parts[2]), float(parts[3])))
+                    xyz = (float(parts[1]), float(parts[2]), float(parts[3]))
                 except ValueError:
                     raise ObjParseError("bad vertex coordinate", lineno) from None
+                if not all(map(math.isfinite, xyz)):
+                    raise ObjParseError("non-finite vertex coordinate", lineno)
+                verts.append(xyz)
             elif kw == "f":
                 idx: list[int] = []
                 for token in parts[1:]:
@@ -157,10 +161,6 @@ def write_obj(mesh: Union[QuantizedMesh, MeshReal], path: Union[str, Path]) -> N
 
 
 # --- token streams -----------------------------------------------------------
-
-
-def _answers_of(seq: TokenSequence) -> list[PredictorAnswer]:
-    return [PredictorAnswer(r.output_kind, r.output_vertex) for r in seq.records]
 
 
 def write_stream(seq: TokenSequence, path: Union[str, Path]) -> None:
@@ -285,35 +285,44 @@ def dumps_text_stream(seq: TokenSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text_object(line: str, lineno: int) -> dict:
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+        raise FormatError(f"bad JSON on line {lineno}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"line {lineno} is not a JSON object")
+    return obj
+
+
 def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Header fields plus outputs; every malformed line is a FormatError
+    naming its line number (counting blank lines)."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise FormatError("empty text stream")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad header line: {exc}") from exc
+    header_line, header_text = lines[0]
+    header = _text_object(header_text, header_line)
     if header.get("magic") != "TMTS":
-        raise FormatError("bad magic in text header")
-    bits = int(header.get("bits", -1))
-    if not 1 <= bits <= 16:
-        raise FormatError(f"bits {bits} outside [1, 16]")
+        raise FormatError(f"bad magic in text header on line {header_line}")
+    bits = header.get("bits")
+    if type(bits) is not int or not 1 <= bits <= 16:  # bool is not a bit count
+        raise FormatError(f"bits {bits!r} on line {header_line} is not an integer in [1, 16]")
     order = header.get("order")
     if order not in (DFS, BFS):
-        raise FormatError(f"unknown order {order!r}")
+        raise FormatError(f"unknown order {order!r} on line {header_line}")
     cells = 1 << bits
     answers: list[PredictorAnswer] = []
-    for i, line in enumerate(lines[1:], 2):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad record on line {i}: {exc}") from exc
+    for i, line in lines[1:]:
+        obj = _text_object(line, i)
         op = obj.get("op")
         if op == "v":
-            x, y, z = int(obj["x"]), int(obj["y"]), int(obj["z"])
-            if not all(0 <= q < cells for q in (x, y, z)):
-                raise FormatError(f"coordinate out of range on line {i}")
-            answers.append(answer_vertex(QuantizedVertex(x, y, z)))
+            xyz = obj.get("x"), obj.get("y"), obj.get("z")
+            if not all(type(q) is int and 0 <= q < cells for q in xyz):
+                raise FormatError(
+                    f"vertex on line {i} needs integer x, y, z in [0, {cells}), got {xyz}"
+                )
+            answers.append(answer_vertex(QuantizedVertex(*xyz)))
         elif op == "stop":
             answers.append(ANSWER_STOP)
         elif op == "eos":

@@ -1,8 +1,9 @@
 """Shared test utilities: canonical face comparison and independent oracles.
 
 The oracles here deliberately avoid the library's fast paths: components via
-union-find over shared edges, normal consistency via scalar all-pairs loops,
-and point-to-triangle distance via dense sampling on a barycentric lattice.
+union-find over shared edges, validation via a standalone directed-edge scan,
+normal consistency via scalar all-pairs loops, and point-to-triangle distance
+via dense sampling on a barycentric lattice.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 
-from meshtok.core import Face, MeshReal, QuantizedMesh
+from meshtok.core import Face, MeshReal, QuantizedMesh, Violation
 from meshtok.metrics import point_to_triangle_distance
 
 
@@ -30,6 +31,35 @@ def winding_flipped(mesh: QuantizedMesh) -> QuantizedMesh:
     return QuantizedMesh(
         list(mesh.vertices), [Face(f.a, f.c, f.b) for f in mesh.faces], mesh.bits
     )
+
+
+def reference_violations(mesh: QuantizedMesh) -> list[Violation]:
+    """Validation oracle: the traversal requirement checked by a standalone
+    scan, face by face, without building any connectivity."""
+    violations = []
+    if not mesh.faces:
+        violations.append(Violation("no_faces", "mesh has no faces"))
+    first_face: dict[tuple[int, int], int] = {}
+    for fi, f in enumerate(mesh.faces):
+        if not all(0 <= v < len(mesh.vertices) for v in f):
+            violations.append(
+                Violation("index_out_of_range", f"face {fi} references a missing vertex")
+            )
+        elif len(set(f)) < 3:
+            violations.append(Violation("degenerate_face", f"face {fi} repeats a vertex index"))
+        else:
+            for o, d in ((f.a, f.b), (f.b, f.c), (f.c, f.a)):
+                if (o, d) in first_face:
+                    violations.append(
+                        Violation(
+                            "duplicate_directed_edge",
+                            f"directed edge ({o},{d}) appears in faces "
+                            f"{first_face[(o, d)]} and {fi}",
+                        )
+                    )
+                else:
+                    first_face[(o, d)] = fi
+    return violations
 
 
 def union_find_components(mesh: QuantizedMesh) -> list[frozenset[int]]:

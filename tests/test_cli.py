@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from meshtok import cli, halfedge
 from meshtok.cli import main
 from meshtok.preprocess import quantize
 from meshtok.procgen import tetrahedron, torus, two_component_scene
@@ -89,6 +90,50 @@ def test_tokenize_rejects_out_of_range_coordinates(tmp_path):
     big = tmp_path / "big.obj"
     big.write_text("v 0 0 0\nv 3 0 0\nv 0 3 0\nf 1 2 3\n")
     assert main(["tokenize", str(big), "-o", str(tmp_path / "x.tmts")]) == 1
+
+
+def test_tokenize_walks_the_directed_edges_once(tmp_path, tetra_obj, monkeypatch):
+    class CountingList(list):
+        walks = 0
+
+        def __iter__(self):
+            CountingList.walks += 1
+            return super().__iter__()
+
+    def quantize_counting(mesh, bits):
+        out = quantize(mesh, bits)
+        out.faces = CountingList(out.faces)
+        return out
+
+    builds = []
+    build = halfedge.build
+    monkeypatch.setattr(cli, "quantize", quantize_counting)
+    monkeypatch.setattr(halfedge, "build", lambda mesh: builds.append(1) or build(mesh))
+    assert main(["tokenize", str(tetra_obj), "-o", str(tmp_path / "t.tmts")]) == 0
+    assert (CountingList.walks, len(builds)) == (1, 1)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_coordinates_are_a_format_error(tmp_path, capsys, bad):
+    obj = tmp_path / "bad.obj"
+    obj.write_text(f"v 0 0 0\nv 0.1 0 0\nv 0 {bad} 0\nf 1 2 3\n")
+    out = str(tmp_path / "out")
+    for argv in (
+        ["tokenize", str(obj), "-o", out],
+        ["preprocess", str(obj), "-o", out],
+        ["metrics", str(obj), str(obj)],
+    ):
+        assert main(argv) == 2, argv[0]
+        assert "line 3: non-finite vertex coordinate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_text_stream_is_a_format_error(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"magic":"TMTS","bits":7,"order":"dfs"}\n{"op":"v","z":1,"y":2}\n')
+    assert main(["detokenize", str(bad), "-o", str(tmp_path / "x.obj")]) == 2
+    assert main(["stats", str(bad)]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_preprocess_accepts_raw_mesh(tmp_path, capsys):

@@ -12,10 +12,11 @@ from meshtok.core import (
     QuantizedVertex,
     connected_components,
     dequantize_coord,
-    face_normal,
+    dequantize_mesh,
     quantize_coord,
     validate_manifold,
 )
+from meshtok.metrics import _face_geometry
 from helpers import union_find_components, winding_flipped
 
 
@@ -112,20 +113,22 @@ class TestConnectedComponents:
 
 
 class TestFaceNormal:
-    def _mesh(self, *coords):
-        return QuantizedMesh([QuantizedVertex(*c) for c in coords], [Face(0, 1, 2)], 7)
+    """Unit normal of (b - a) x (c - a) in dequantized coordinates, as the
+    metrics compute it; None for a zero-area face."""
+
+    def _normal(self, coords, face=(0, 1, 2)):
+        mesh = QuantizedMesh([QuantizedVertex(*c) for c in coords], [Face(*face)], 7)
+        normals, _, valid = _face_geometry(dequantize_mesh(mesh))
+        return normals[0] if valid[0] else None
 
     def test_xy_triangle_points_up(self):
-        mesh = self._mesh((0, 0, 0), (1, 0, 0), (0, 1, 0))
-        assert np.allclose(face_normal(mesh, mesh.faces[0]), [0, 0, 1])
+        assert np.allclose(self._normal([(0, 0, 0), (1, 0, 0), (0, 1, 0)]), [0, 0, 1])
 
     def test_swapped_vertices_point_down(self):
-        mesh = self._mesh((0, 0, 0), (0, 1, 0), (1, 0, 0))
-        assert np.allclose(face_normal(mesh, mesh.faces[0]), [0, 0, -1])
+        assert np.allclose(self._normal([(0, 0, 0), (0, 1, 0), (1, 0, 0)]), [0, 0, -1])
 
     def test_collinear_is_none(self):
-        mesh = self._mesh((0, 0, 0), (1, 0, 0), (2, 0, 0))
-        assert face_normal(mesh, mesh.faces[0]) is None
+        assert self._normal([(0, 0, 0), (1, 0, 0), (2, 0, 0)]) is None
 
     @given(
         coords=st.lists(
@@ -138,9 +141,8 @@ class TestFaceNormal:
         )
     )
     def test_orientation_antisymmetry(self, coords):
-        mesh = QuantizedMesh([QuantizedVertex(*c) for c in coords], [Face(0, 1, 2)], 7)
-        n = face_normal(mesh, Face(0, 1, 2))
-        flipped = face_normal(mesh, Face(0, 2, 1))
+        n = self._normal(coords)
+        flipped = self._normal(coords, (0, 2, 1))
         if n is None:
             assert flipped is None
         else:

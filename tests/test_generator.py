@@ -7,7 +7,17 @@ import threading
 import pytest
 
 from meshtok.core import Face, QuantizedMesh, QuantizedVertex
-from meshtok.sequencer import EDGE, EOS, SOS, STOP, VERTEX, StepRecord, encode, check_well_formed
+from meshtok.sequencer import (
+    EDGE,
+    EOS,
+    SOS,
+    STOP,
+    VERTEX,
+    StepRecord,
+    TokenSequence,
+    check_well_formed,
+    encode,
+)
 from meshtok.generator import (
     ANSWER_EOS,
     ANSWER_STOP,
@@ -63,15 +73,28 @@ class TestDecode:
         assert len(out.faces) == 2
         assert canonical_faces(out) == canonical_faces(pillow)
 
-    def test_tampered_edge_desyncs(self, tetra):
-        seq = encode(tetra)
-        bad = seq.records[2]
-        assert bad.input_kind == EDGE
-        seq.records[2] = StepRecord(
-            EDGE, (bad.input_edge[1], bad.input_edge[0]), bad.output_kind, bad.output_vertex
-        )
+    def test_tampered_edge_desyncs(self, tetra, corpus7):
+        for mesh in (tetra, dict(corpus7)["torus_12x8"]):
+            seq = encode(mesh)
+            edges = [i for i, r in enumerate(seq.records) if r.input_kind == EDGE]
+            assert len(edges) == 2 * len(mesh.faces) + 2
+            for i in edges:
+                rec = seq.records[i]
+                flipped = rec._replace(input_edge=(rec.input_edge[1], rec.input_edge[0]))
+                bad = TokenSequence(seq.bits, seq.order, list(seq.records))
+                bad.records[i] = flipped
+                with pytest.raises(DesyncError):
+                    decode(bad)
+
+    def test_input_kind_mismatch_desyncs_before_illegal_answer(self, triangle):
+        # Dropping one STOP keeps the grammar but leaves an edge pending, so
+        # the machine poses an EDGE query where the record says SOS -> EOS.
+        seq = encode(triangle)
+        assert seq.records[5].output_kind == STOP
+        bad = TokenSequence(seq.bits, seq.order, seq.records[:5] + seq.records[6:])
+        check_well_formed(bad)
         with pytest.raises(DesyncError):
-            decode(seq)
+            decode(bad)
 
     def test_vertices_dedup_by_position(self, tetra):
         out = decode(encode(tetra))
@@ -111,20 +134,6 @@ class TestRunCoercions:
         assert len(result.mesh.faces) == 0
         assert result.transcript.records[2].output_kind == STOP
 
-    def test_edge_conflict_coerced_when_enabled(self):
-        answers = [
-            answer_vertex(V1), answer_vertex(V2), answer_vertex(C),
-            answer_vertex(D),
-            answer_vertex(C),  # face (D, V2, C) would reuse directed edge V2->C
-            ANSWER_STOP, ANSWER_STOP, ANSWER_STOP, ANSWER_EOS,
-        ]
-        result = run(
-            _script(*answers),
-            GeneratorConfig(duplicate_check=False, edge_conflict_check=True),
-        )
-        assert len(result.mesh.faces) == 2
-        assert result.transcript.records[4].output_kind == STOP
-
     def test_edge_conflict_allowed_when_disabled(self):
         answers = [
             answer_vertex(V1), answer_vertex(V2), answer_vertex(C),
@@ -132,10 +141,7 @@ class TestRunCoercions:
             ANSWER_STOP, ANSWER_STOP, ANSWER_STOP, ANSWER_STOP, ANSWER_STOP,
             ANSWER_EOS,
         ]
-        result = run(
-            _script(*answers),
-            GeneratorConfig(duplicate_check=False, edge_conflict_check=False),
-        )
+        result = run(_script(*answers), GeneratorConfig(duplicate_check=False))
         assert len(result.mesh.faces) == 3
 
 
@@ -179,6 +185,16 @@ class TestRunHalts:
         with pytest.raises(IllegalAnswerError):
             run(_script(answer_vertex(V1), answer_vertex(V2), ANSWER_EOS))
 
+    @pytest.mark.parametrize(
+        "outside",
+        [QuantizedVertex(500, 0, 0), QuantizedVertex(0, -3, 0), QuantizedVertex(0, 0, 128)],
+    )
+    def test_vertex_outside_the_grid_aborts_at_its_step(self, outside):
+        for prefix in ([], [answer_vertex(V1)], [answer_vertex(V1), answer_vertex(V2)]):
+            script = _script(*prefix, answer_vertex(outside))
+            with pytest.raises(IllegalAnswerError, match=f"step {len(prefix)}: .*7-bit grid"):
+                run(script, GeneratorConfig(bits=7))
+
 
 class TestReplayOutputs:
     def test_rebuilds_the_encoded_sequence(self, tetra):
@@ -198,6 +214,8 @@ class TestReplayOutputs:
     def test_missing_eos_rejected(self):
         with pytest.raises(DesyncError):
             replay_outputs([answer_vertex(V1), answer_vertex(V2), ANSWER_STOP], 7)
+        with pytest.raises(DesyncError):
+            replay_outputs([], 7)
 
     def test_degenerate_record_rejected_when_strict(self):
         answers = [

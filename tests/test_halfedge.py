@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import pytest
-
 from meshtok.core import Face, QuantizedMesh, QuantizedVertex
 from meshtok import halfedge
 
@@ -17,7 +15,6 @@ def test_single_triangle_half_edges_and_boundaries():
     assert list(zip(conn.origin, conn.dest)) == [(0, 1), (1, 2), (2, 0)]
     for h in range(3):
         assert conn.twin_of(h) is None
-        assert conn.is_boundary(h)
 
 
 def test_lookup_present_and_absent():
@@ -25,7 +22,7 @@ def test_lookup_present_and_absent():
     assert conn.lookup(0, 1) == 0
     assert conn.lookup(1, 2) == 1
     assert conn.lookup(1, 0) is None  # boundary from the far side
-    assert conn.lookup_edge(halfedge.DirectedEdge(2, 0)) == 2
+    assert conn.lookup(2, 0) == 2
 
 
 def test_strip_twins_are_mutual():
@@ -53,9 +50,13 @@ def test_tetrahedron_is_closed(tetra):
         assert twin is not None and conn.twin_of(twin) == h
 
 
-def test_duplicate_directed_edge_raises():
-    with pytest.raises(halfedge.DuplicateHalfEdgeError):
-        halfedge.build(_mesh([(0, 1, 2), (0, 1, 3)], 4))
+def test_duplicate_directed_edge_reported():
+    report = halfedge.build(_mesh([(0, 1, 2), (0, 1, 3)], 4)).report
+    assert not report.ok
+    assert [(v.code, v.message) for v in report.violations] == [
+        ("duplicate_directed_edge", "directed edge (0,1) appears in faces 0 and 1")
+    ]
+
 
 
 def test_opposite_vertex_is_a_face_bijection(corpus7):

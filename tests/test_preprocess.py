@@ -79,9 +79,10 @@ class TestQuantize:
         assert len(out.faces) == 1
 
     def test_out_of_range_raises(self):
-        mesh = MeshReal(np.array([[0.0, 0.0, 0.7], [0, 0, 0], [0.1, 0, 0]]), TRI)
-        with pytest.raises(OutOfRangeError):
-            quantize(mesh, 7)
+        for bad in (0.7, np.nan, np.inf, -np.inf):
+            mesh = MeshReal(np.array([[0.0, 0.0, bad], [0, 0, 0], [0.1, 0, 0]]), TRI)
+            with pytest.raises(OutOfRangeError):
+                quantize(mesh, 7)
 
     def test_quantize_is_idempotent_through_dequantize(self, corpus7):
         for name, mesh in corpus7:

@@ -3,8 +3,15 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from meshtok.core import Face, QuantizedMesh, QuantizedVertex, connected_components
+from meshtok.core import (
+    Face,
+    QuantizedMesh,
+    QuantizedVertex,
+    connected_components,
+    validate_manifold,
+)
 from meshtok.preprocess import quantize
 from meshtok.procgen import torus
 from meshtok.sequencer import (
@@ -22,6 +29,7 @@ from meshtok.sequencer import (
     encode,
     sequence_stats,
 )
+from helpers import reference_violations
 
 
 def _component_spans(seq):
@@ -166,8 +174,9 @@ class TestErrors:
             [Face(0, 1, 2), Face(0, 1, 3)],
             7,
         )
-        with pytest.raises(InvalidMeshError):
+        with pytest.raises(InvalidMeshError) as err:
             encode(mesh)
+        assert [v.code for v in err.value.report.violations] == ["duplicate_directed_edge"]
 
     def test_empty_mesh_raises(self):
         with pytest.raises(InvalidMeshError):
@@ -192,11 +201,39 @@ class TestErrors:
         with pytest.raises(MalformedSequenceError):
             check_well_formed(TokenSequence(seq.bits, seq.order, seq.records, truncated=True))
 
-    def test_illegal_record_pairing_rejected_at_construction(self):
-        with pytest.raises(MalformedSequenceError):
-            StepRecord(SOS, None, STOP, None)
-        with pytest.raises(MalformedSequenceError):
-            StepRecord(SOS2, None, EOS, None)
+    def test_illegal_record_pairing_rejected(self, triangle):
+        seq = encode(triangle)
+        v = QuantizedVertex(0, 0, 0)
+        for index, record in [
+            (0, StepRecord(SOS, None, STOP, None)),
+            (1, StepRecord(SOS2, None, EOS, None)),
+            (2, StepRecord(EDGE, None, STOP, None)),
+            (3, StepRecord(EDGE, (v, v), VERTEX, None)),
+            (6, StepRecord(SOS, None, EOS, v)),
+        ]:
+            bad = TokenSequence(seq.bits, seq.order, list(seq.records))
+            bad.records[index] = record
+            with pytest.raises(MalformedSequenceError, match=f"record {index}: "):
+                check_well_formed(bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_verts=st.integers(0, 6),
+        faces=st.lists(st.tuples(*[st.integers(-1, 6)] * 3), max_size=8),
+    )
+    def test_encode_accepts_exactly_the_valid_meshes(self, n_verts, faces):
+        verts = [QuantizedVertex(i, (3 * i) % 7, (5 * i) % 11) for i in range(n_verts)]
+        mesh = QuantizedMesh(verts, [Face(*f) for f in faces], 7)
+        report = validate_manifold(mesh)
+        assert report.violations == reference_violations(mesh)
+        assert report.ok == (not report.violations)
+        try:
+            encode(mesh)
+        except InvalidMeshError as exc:
+            assert not report.ok
+            assert exc.report.violations == report.violations
+        else:
+            assert report.ok
 
 
 def test_every_face_appears_once_with_original_winding(corpus7):

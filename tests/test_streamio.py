@@ -67,10 +67,11 @@ class TestReadObj:
             read_obj(path)
 
     def test_bad_float_reports_line(self, tmp_path):
-        path = _write(tmp_path, "v 0 0 0\nv oops 0 0\n")
-        with pytest.raises(ObjParseError) as err:
-            read_obj(path)
-        assert err.value.line == 2
+        for bad in ("oops", "nan", "inf", "-Infinity"):
+            path = _write(tmp_path, f"v 0 0 0\nv {bad} 0 0\n")
+            with pytest.raises(ObjParseError) as err:
+                read_obj(path)
+            assert err.value.line == 2
 
     def test_irrelevant_lines_ignored(self, tmp_path):
         text = (
@@ -246,6 +247,49 @@ class TestTextStream:
             '{"op":"v","z":200,"y":0,"x":0}\n{"op":"eos"}\n'
         )
         with pytest.raises(FormatError):
+            read_text_stream(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "[1,2]",
+            '{"op":"v","z":1,"y":2}',
+            '{"op":"v","z":1,"y":2,"x":null}',
+            '{"op":"v","z":1.9,"y":2.7,"x":3.99}',
+            '{"op":"v","z":1,"y":2,"x":true}',
+            '{"op":"v","z":1,"y":2,"x":' + "1" * 5000 + "}",
+            '{"op":' + "[" * 100000 + "]" * 100000 + "}",
+        ],
+        ids=[
+            "not_an_object",
+            "missing_coordinate",
+            "null",
+            "fractional",
+            "bool",
+            "overlong_integer",
+            "deeply_nested",
+        ],
+    )
+    def test_malformed_record_names_its_line(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        header = '{"magic":"TMTS","bits":7,"order":"dfs"}'
+        path.write_text(f'{header}\n\n{record}\n{{"op":"eos"}}\n')  # record on line 3
+        with pytest.raises(FormatError, match="line 3"):
+            read_text_stream(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "[1,2]",
+            '{"magic":"TMTS","bits":true,"order":"dfs"}',
+            '{"magic":"TMTS","bits":7.5,"order":"dfs"}',
+        ],
+        ids=["not_an_object", "bool_bits", "fractional_bits"],
+    )
+    def test_malformed_header_names_its_line(self, tmp_path, header):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f'{header}\n{{"op":"eos"}}\n')
+        with pytest.raises(FormatError, match="line 1"):
             read_text_stream(path)
 
     def test_answers_autodetect(self, triangle, tmp_path):
