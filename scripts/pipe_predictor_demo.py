@@ -57,7 +57,7 @@ def main() -> None:
         )
         try:
             predictor = PipePredictor(child.stdin, child.stdout)
-            result = run(predictor, GeneratorConfig(max_steps=len(seq.records)))
+            result = run(predictor, GeneratorConfig(max_steps=len(seq.outputs)))
         finally:
             child.stdin.close()
             child.wait(timeout=30)

@@ -65,10 +65,6 @@ class ValidationReport:
     violations: list[Violation]
 
 
-def grid_cells(bits: int) -> int:
-    return 1 << bits
-
-
 def quantize_coord(x: float, bits: int) -> int:
     """Map a real coordinate in [-0.5, 0.5] to its grid cell (clamped)."""
     cells = 1 << bits

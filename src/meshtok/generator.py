@@ -2,16 +2,16 @@
 assembles the resulting mesh.
 
 The machine owns all traversal state (pending edges, emitted faces, vertex
-interning) and asks a predictor callback for one answer per step. Driving it
-with recorded outputs inverts the tokenizer; driving it with a sampler
-generates. Vertices are identified by quantized position: positions already
-seen are merged during assembly, and the output mesh is every emitted face
-over the union of seen vertices.
+interning) and takes one answer per step through ``_Machine.answer``.
+Feeding it recorded outputs inverts the tokenizer; ``run`` asks a predictor
+callback for each answer and generates. Vertices are identified by quantized
+position: positions already seen are merged during assembly, and the output
+mesh is every emitted face over the union of seen vertices.
 
 Answers that would emit a face with a repeated vertex position are coerced
 to STOP, as are duplicate faces when the duplicate check is on. Coercions
-record STOP in the transcript, so transcripts always replay cleanly. A vertex
-outside the ``2**bits`` grid is an illegal answer.
+record STOP among the outputs, so transcripts always replay cleanly. A
+vertex outside the ``2**bits`` grid is an illegal answer.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from typing import Callable, Optional, TextIO
 
 from .core import Face, QuantizedMesh, QuantizedVertex
 from .sequencer import (
+    ANSWER_EOS,
+    ANSWER_STOP,
+    BFS,
     DFS,
     EDGE,
     EOS,
@@ -32,10 +35,12 @@ from .sequencer import (
     STOP,
     VERTEX,
     EdgePositions,
-    StepRecord,
+    PredictorAnswer,
     TokenSequence,
+    answer_vertex,
     check_well_formed,
 )
+from .streamio import _answer_line, _parse_answer
 
 HALT_EOS = "eos"
 HALT_BUDGET = "budget"
@@ -59,20 +64,6 @@ class PredictorQuery:
     edge: Optional[EdgePositions] = None  # set for edge
 
 
-@dataclass(frozen=True)
-class PredictorAnswer:
-    kind: str  # vertex | stop | eos
-    vertex: Optional[QuantizedVertex] = None
-
-
-ANSWER_STOP = PredictorAnswer(STOP)
-ANSWER_EOS = PredictorAnswer(EOS)
-
-
-def answer_vertex(v: QuantizedVertex) -> PredictorAnswer:
-    return PredictorAnswer(VERTEX, v)
-
-
 Predictor = Callable[[PredictorQuery], PredictorAnswer]
 
 
@@ -92,25 +83,45 @@ class RunResult:
 
 
 class _Machine:
-    """Single-run mutable traversal state."""
+    """Single-run mutable traversal state.
 
-    def __init__(self, cfg: GeneratorConfig, coerce_degenerate: bool):
-        self.cfg = cfg
+    ``mode`` is the kind of the input the next answer must answer: SOS, SOS2,
+    EDGE (``edge`` then holds the popped edge as vertex indices) or EOS once
+    the run has ended. Pending edges hold vertex indices, so a face costs one
+    interning lookup, for its new vertex.
+    """
+
+    def __init__(self, bits: int, order: str, duplicate_check: bool, coerce_degenerate: bool):
+        if order not in (DFS, BFS):
+            raise ValueError(f"unknown traversal order: {order!r}")
+        self.bits = bits
+        self.order = order
+        self.duplicate_check = duplicate_check
         self.coerce_degenerate = coerce_degenerate
-        self.pending: deque[EdgePositions] = deque()
-        self.take = self.pending.pop if cfg.order == DFS else self.pending.popleft
+        self.pending: deque[tuple[int, int]] = deque()
+        self.take = self.pending.pop if order == DFS else self.pending.popleft
         self.vert_index: dict[QuantizedVertex, int] = {}
         self.verts: list[QuantizedVertex] = []
         self.faces: list[Face] = []
         self.canonical: set[frozenset[int]] = set()
-        self.cells = 1 << cfg.bits
-        self.records: list[StepRecord] = []
+        self.cells = 1 << bits
+        self.outputs: list[PredictorAnswer] = []
         self.component = 0
         self.step = 0
         self.mode = SOS
-        self.v1: Optional[QuantizedVertex] = None
-        self.current_edge: Optional[EdgePositions] = None
-        self.done = False
+        self.v1 = 0
+        self.edge = (0, 0)
+
+    @property
+    def done(self) -> bool:
+        return self.mode == EOS
+
+    def input_edge(self) -> Optional[EdgePositions]:
+        """The popped edge as positions while an EDGE answer is due, else None."""
+        if self.mode != EDGE:
+            return None
+        a, b = self.edge
+        return self.verts[a], self.verts[b]
 
     def intern(self, v: QuantizedVertex) -> int:
         idx = self.vert_index.get(v)
@@ -120,140 +131,103 @@ class _Machine:
             self.verts.append(v)
         return idx
 
-    def next_query(self) -> PredictorQuery:
-        if self.mode == SOS:
-            return PredictorQuery(self.step, SOS, self.component, 0)
-        if self.mode == SOS2:
-            return PredictorQuery(self.step, SOS2, self.component, 0, v1=self.v1)
-        self.current_edge = self.take()
-        return PredictorQuery(
-            self.step, EDGE, self.component, len(self.pending), edge=self.current_edge
-        )
-
-    def apply(self, query: PredictorQuery, answer: PredictorAnswer) -> None:
-        kind = query.kind
-        v = answer.vertex
-        if answer.kind == VERTEX:
-            assert v is not None
+    def answer(self, ans: PredictorAnswer) -> None:
+        """Take one answer: record it (after coercion) and advance."""
+        kind, v = ans
+        if kind == VERTEX:
+            x, y, z = v
             cells = self.cells
-            if not (0 <= v.x < cells and 0 <= v.y < cells and 0 <= v.z < cells):
+            if not (0 <= x < cells and 0 <= y < cells and 0 <= z < cells):
                 raise IllegalAnswerError(
-                    f"step {query.step}: vertex {tuple(v)} outside the "
-                    f"{self.cfg.bits}-bit grid"
+                    f"step {self.step}: vertex {tuple(v)} outside the {self.bits}-bit grid"
                 )
-        if kind == SOS:
-            if answer.kind == EOS:
-                self.records.append(StepRecord(SOS, None, EOS, None))
-                self.done = True
-            elif answer.kind == VERTEX:
-                self.intern(v)
-                self.records.append(StepRecord(SOS, None, VERTEX, v))
-                self.v1 = v
-                self.mode = SOS2
+        mode = self.mode
+        if mode == EDGE:
+            if kind == VERTEX:
+                ans = self._face(ans)
+            elif kind != STOP:
+                raise IllegalAnswerError(f"step {self.step}: {kind} answers EDGE")
+            if self.pending:
+                self.edge = self.take()
             else:
-                raise IllegalAnswerError(f"step {query.step}: {answer.kind} answers SOS")
-        elif kind == SOS2:
-            if answer.kind != VERTEX:
-                raise IllegalAnswerError(f"step {query.step}: {answer.kind} answers SOS2")
-            assert self.v1 is not None
-            self.intern(v)
-            self.records.append(StepRecord(SOS2, None, VERTEX, v))
-            self.pending.append((v, self.v1))  # twin below the start edge
-            self.pending.append((self.v1, v))
+                self.mode = SOS
+                self.component += 1
+        elif mode == SOS:
+            if kind == VERTEX:
+                self.v1 = self.intern(v)
+                self.mode = SOS2
+            elif kind == EOS:
+                self.mode = EOS
+            else:
+                raise IllegalAnswerError(f"step {self.step}: {kind} answers SOS")
+        elif mode == SOS2:
+            if kind != VERTEX:
+                raise IllegalAnswerError(f"step {self.step}: {kind} answers SOS2")
+            v1, v2 = self.v1, self.intern(v)
+            self.pending.append((v2, v1))  # twin below the start edge
+            self.pending.append((v1, v2))
+            self.edge = self.take()
             self.mode = EDGE
         else:
-            edge = query.edge
-            assert edge is not None
-            if answer.kind == STOP:
-                self.records.append(StepRecord(EDGE, edge, STOP, None))
-            elif answer.kind == VERTEX:
-                self._apply_vertex(edge, v, query.step)
-            else:
-                raise IllegalAnswerError(f"step {query.step}: {answer.kind} answers EDGE")
+            raise DesyncError(f"step {self.step}: answer after the terminal EOS")
+        self.outputs.append(ans)
         self.step += 1
 
-    def _apply_vertex(self, edge: EdgePositions, c: QuantizedVertex, step: int) -> None:
-        a, b = edge
-        if len({a, b, c}) != 3:
+    def _face(self, ans: PredictorAnswer) -> PredictorAnswer:
+        """Emit the face of the current edge and the answer's vertex; returns
+        the answer to record, STOP when the face is coerced."""
+        ia, ib = self.edge
+        c = ans.vertex
+        ic = self.vert_index.get(c)
+        if ia == ib or ic == ia or ic == ib:
             if not self.coerce_degenerate:
-                raise DesyncError(
-                    f"step {step}: recorded vertex repeats an edge endpoint"
-                )
-            self.records.append(StepRecord(EDGE, edge, STOP, None))
-            return
-        ia, ib = self.intern(a), self.intern(b)
-        ic = self.intern(c)
-        key = frozenset((ia, ib, ic))
-        if self.cfg.duplicate_check and key in self.canonical:
-            self.records.append(StepRecord(EDGE, edge, STOP, None))
-            return
+                raise DesyncError(f"step {self.step}: recorded vertex repeats an edge endpoint")
+            return ANSWER_STOP
+        if ic is None:
+            ic = self.intern(c)
+        if self.duplicate_check:
+            key = frozenset((ia, ib, ic))
+            if key in self.canonical:
+                return ANSWER_STOP
+            self.canonical.add(key)
         self.faces.append(Face(ia, ib, ic))
-        self.canonical.add(key)
-        self.records.append(StepRecord(EDGE, edge, VERTEX, c))
-        self.pending.append((a, c))
-        self.pending.append((c, b))
-
-    def component_finished(self) -> bool:
-        return self.mode == EDGE and not self.pending
+        self.pending.append((ia, ic))
+        self.pending.append((ic, ib))
+        return ans
 
     def result(self, halt: str) -> RunResult:
-        mesh = QuantizedMesh(list(self.verts), list(self.faces), self.cfg.bits)
+        mesh = QuantizedMesh(self.verts, self.faces, self.bits)
         transcript = TokenSequence(
-            bits=self.cfg.bits,
-            order=self.cfg.order,
-            records=self.records,
-            truncated=(halt == HALT_BUDGET),
+            self.bits, self.order, self.outputs, truncated=(halt == HALT_BUDGET)
         )
         return RunResult(mesh, transcript, halt)
 
 
-def _drive(
-    predictor: Predictor, cfg: GeneratorConfig, coerce_degenerate: bool
-) -> RunResult:
-    if cfg.max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    machine = _Machine(cfg, coerce_degenerate)
-    for _ in range(cfg.max_steps):
-        query = machine.next_query()
-        answer = predictor(query)
-        machine.apply(query, answer)
-        if machine.done:
-            return machine.result(HALT_EOS)
-        if machine.component_finished():
-            machine.component += 1
-            machine.mode = SOS
-    return machine.result(HALT_BUDGET)
-
-
 def run(predictor: Predictor, cfg: Optional[GeneratorConfig] = None) -> RunResult:
     """Generate a mesh by querying the predictor at most ``cfg.max_steps`` times."""
-    return _drive(predictor, cfg or GeneratorConfig(), coerce_degenerate=True)
+    cfg = cfg or GeneratorConfig()
+    if cfg.max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    m = _Machine(cfg.bits, cfg.order, cfg.duplicate_check, coerce_degenerate=True)
+    for _ in range(cfg.max_steps):
+        v1 = m.verts[m.v1] if m.mode == SOS2 else None
+        query = PredictorQuery(m.step, m.mode, m.component, len(m.pending), v1, m.input_edge())
+        m.answer(predictor(query))
+        if m.done:
+            return m.result(HALT_EOS)
+    return m.result(HALT_BUDGET)
 
 
 def decode(seq: TokenSequence) -> QuantizedMesh:
-    """Strict replay: recover exactly the faces of the EDGE->VERTEX records.
+    """Strict replay: recover exactly the faces the sequence's VERTEX outputs
+    emit after an edge.
 
-    Replays the recorded outputs and requires the transcript the machine
-    derives to equal the recorded one. Raises DesyncError when the recorded
-    inputs disagree with the machine's derived state, MalformedSequenceError
-    when the sequence itself is structurally broken.
+    Raises MalformedSequenceError when the outputs break the sequence grammar
+    (``check_well_formed``), DesyncError when a well-formed sequence still
+    cannot be replayed, because a vertex repeats an endpoint of its edge.
     """
     check_well_formed(seq)
-    answers = [PredictorAnswer(r.output_kind, r.output_vertex) for r in seq.records]
-    try:
-        derived = replay_outputs(answers, seq.bits, seq.order)
-    except IllegalAnswerError as exc:
-        # Every record pairs its input with a legal output, so an answer the
-        # machine rejects was recorded against a different input, or lies
-        # outside the sequence's grid.
-        raise DesyncError(f"recorded stream disagrees with the machine: {exc}") from exc
-    for i, (got, rec) in enumerate(zip(derived.transcript.records, seq.records)):
-        if got != rec:
-            raise DesyncError(
-                f"step {i}: recorded input {rec.input_kind} {rec.input_edge}, "
-                f"machine derived {got.input_kind} {got.input_edge}"
-            )
-    return derived.mesh
+    return replay_outputs(seq.outputs, seq.bits, seq.order).mesh
 
 
 def replay_outputs(
@@ -267,23 +241,16 @@ def replay_outputs(
 
     This is how output-only streams are given structure again. Raises
     DesyncError when the machine halts before consuming every answer or runs
-    out of answers before reaching EOS.
+    out of answers before reaching EOS, IllegalAnswerError when an answer
+    does not fit the input the machine derived for it.
     """
-    if not answers:
+    machine = _Machine(bits, order, duplicate_check, coerce_degenerate)
+    answer = machine.answer
+    for a in answers:
+        answer(a)
+    if not machine.done:
         raise DesyncError("output stream has no terminal EOS")
-    feed = iter(answers)
-    cfg = GeneratorConfig(
-        bits=bits, order=order, duplicate_check=duplicate_check, max_steps=len(answers)
-    )
-    result = _drive(lambda query: next(feed), cfg, coerce_degenerate=coerce_degenerate)
-    if result.halt != HALT_EOS:
-        raise DesyncError("output stream has no terminal EOS")
-    consumed = len(result.transcript.records)
-    if consumed != len(answers):
-        raise DesyncError(
-            f"{len(answers) - consumed} trailing records after the machine halted"
-        )
-    return result
+    return machine.result(HALT_EOS)
 
 
 def fuzz_predictor(seed: int, bits: int = 7) -> Predictor:
@@ -368,26 +335,14 @@ def query_from_json(line: str) -> PredictorQuery:
 
 
 def answer_to_json(answer: PredictorAnswer) -> str:
-    if answer.kind == VERTEX:
-        assert answer.vertex is not None
-        obj = {"op": "v", **_vertex_obj(answer.vertex)}
-    elif answer.kind == STOP:
-        obj = {"op": "stop"}
-    else:
-        obj = {"op": "eos"}
-    return json.dumps(obj, separators=(",", ":"))
+    return _answer_line(answer)
 
 
 def answer_from_json(line: str) -> PredictorAnswer:
-    obj = json.loads(line)
-    op = obj.get("op")
-    if op == "v":
-        return answer_vertex(_vertex_from_obj(obj))
-    if op == "stop":
-        return ANSWER_STOP
-    if op == "eos":
-        return ANSWER_EOS
-    raise ValueError(f"unknown answer op: {op!r}")
+    """Parse one answer line with the text-stream record parser: FormatError
+    on anything but a STOP, an EOS or a vertex with integer coordinates in
+    [0, 2**16). The machine checks the run's grid."""
+    return _parse_answer(line, "answer line")
 
 
 class PipePredictor:

@@ -1,7 +1,7 @@
 """Serialize a mesh into a token sequence by half-edge traversal.
 
 Each component contributes two auxiliary steps (its first two vertices),
-then one record per pending-edge pop: VERTEX when the popped edge discovers
+then one step per pending-edge pop: VERTEX when the popped edge discovers
 a new face, STOP when it hits a boundary or an already-visited face. A face
 discovered from edge (a, b) with opposite vertex c pushes (a, c) then (c, b),
 so (c, b) is processed next in depth-first order. The pending container is a
@@ -9,14 +9,18 @@ stack for DFS and a FIFO queue for BFS; nothing else differs between the two
 orders. One final step answers EOS when no faces remain.
 
 Only outputs carry information: inputs are reproducible by replaying the
-same pending-edge discipline, which is what lets a face cost two tokens.
+same pending-edge discipline, which is what lets a face cost two tokens. A
+``TokenSequence`` therefore holds the outputs alone, exactly what the stream
+formats store; its ``records``, each step's input paired with its output, are
+derived on first access by a strict replay through the decoder's machine.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from .core import QuantizedMesh, QuantizedVertex, ValidationReport, height_sort_key
 from . import halfedge
@@ -34,12 +38,6 @@ EOS = "eos"
 DFS = "dfs"
 BFS = "bfs"
 
-_LEGAL_PAIRS = {
-    SOS: (VERTEX, EOS),
-    SOS2: (VERTEX,),
-    EDGE: (VERTEX, STOP),
-}
-
 EdgePositions = tuple[QuantizedVertex, QuantizedVertex]
 
 
@@ -56,8 +54,23 @@ class MalformedSequenceError(ValueError):
     """A token sequence violates its structural invariants."""
 
 
+class PredictorAnswer(NamedTuple):
+    """One step output, as a predictor answers it and a stream stores it."""
+
+    kind: str  # vertex | stop | eos
+    vertex: Optional[QuantizedVertex] = None
+
+
+ANSWER_STOP = PredictorAnswer(STOP)
+ANSWER_EOS = PredictorAnswer(EOS)
+
+
+def answer_vertex(v: QuantizedVertex) -> PredictorAnswer:
+    return PredictorAnswer(VERTEX, v)
+
+
 class StepRecord(NamedTuple):
-    """One machine step; ``check_well_formed`` checks the field pairings."""
+    """One machine step: the input the machine posed and the output given."""
 
     input_kind: str
     input_edge: Optional[EdgePositions]
@@ -69,8 +82,25 @@ class StepRecord(NamedTuple):
 class TokenSequence:
     bits: int
     order: str
-    records: list[StepRecord]
+    outputs: list[PredictorAnswer]
     truncated: bool = False
+
+    @cached_property
+    def records(self) -> list[StepRecord]:
+        """Each output paired with the input a strict replay derives for it.
+
+        Computed once, on first access. A truncated sequence yields the
+        records of its steps; an output the machine cannot take raises the
+        machine's DesyncError or IllegalAnswerError.
+        """
+        from .generator import _Machine  # generator imports this module
+
+        machine = _Machine(self.bits, self.order, duplicate_check=False, coerce_degenerate=False)
+        records = []
+        for answer in self.outputs:
+            records.append(StepRecord(machine.mode, machine.input_edge(), *answer))
+            machine.answer(answer)
+        return records
 
 
 @dataclass(frozen=True)
@@ -83,56 +113,76 @@ class SequenceStats:
     ratio: Optional[float]
 
 
-def check_well_formed(seq: TokenSequence) -> None:
-    """Raise MalformedSequenceError unless every record pairs a legal input
-    with a legal output, carries an edge exactly when its input is EDGE and a
-    vertex exactly when its output is VERTEX, and the sequence obeys the
-    component grammar and ends with exactly one EOS."""
+def _walk(seq: TokenSequence) -> tuple[int, int, int]:
+    """Check ``seq`` and count its (faces, components, stops).
+
+    The outputs must follow the component grammar: per component a VERTEX,
+    a VERTEX, then one output per pending edge, where VERTEX adds one pending
+    edge (pop one, push two) and STOP removes one; the component ends when no
+    edge is pending. The sequence ends in exactly one EOS, answering the
+    start of a component. The counter does no geometry: a vertex repeating an
+    edge endpoint is left for replay to reject.
+    """
+    if not 1 <= seq.bits <= 16:
+        raise MalformedSequenceError(f"bits {seq.bits} outside [1, 16]")
+    if seq.order not in (DFS, BFS):
+        raise MalformedSequenceError(f"unknown traversal order {seq.order!r}")
     if seq.truncated:
         raise MalformedSequenceError("sequence is truncated (budget halt)")
-    if not seq.records:
+    if not seq.outputs:
         raise MalformedSequenceError("empty sequence")
-    expect = "sos"
-    for i, rec in enumerate(seq.records):
-        if rec.output_kind not in _LEGAL_PAIRS.get(rec.input_kind, ()):
-            raise MalformedSequenceError(
-                f"record {i}: illegal record {rec.input_kind} -> {rec.output_kind}"
-            )
-        if (rec.input_edge is not None) != (rec.input_kind == EDGE):
-            raise MalformedSequenceError(f"record {i}: input_edge is for EDGE records only")
-        if (rec.output_vertex is not None) != (rec.output_kind == VERTEX):
-            raise MalformedSequenceError(
-                f"record {i}: output_vertex is for VERTEX records only"
-            )
-        if expect == "end":
+    cells = 1 << seq.bits
+    mode = SOS
+    pending = faces = components = stops = 0
+    for i, (kind, v) in enumerate(seq.outputs):
+        if mode == EOS:
             raise MalformedSequenceError(f"record {i} after terminal EOS")
-        if expect == "sos":
-            if rec.input_kind != SOS:
-                raise MalformedSequenceError(f"record {i}: expected SOS input")
-            expect = "end" if rec.output_kind == EOS else "sos2"
-        elif expect == "sos2":
-            if rec.input_kind != SOS2:
-                raise MalformedSequenceError(f"record {i}: expected SOS2 input")
-            expect = "body"
+        if kind == VERTEX:
+            if v is None or not all(0 <= q < cells for q in v):
+                raise MalformedSequenceError(
+                    f"record {i}: vertex {v} is not on the {seq.bits}-bit grid"
+                )
+            if mode == EDGE:
+                faces += 1
+                pending += 1
+            elif mode == SOS:
+                components += 1
+                mode = SOS2
+            else:
+                mode = EDGE
+                pending = 2
+        elif v is not None:
+            raise MalformedSequenceError(f"record {i}: a {kind} output carries a vertex")
+        elif kind == STOP and mode == EDGE:
+            stops += 1
+            pending -= 1
+            if not pending:
+                mode = SOS
+        elif kind == EOS and mode == SOS:
+            mode = EOS
         else:
-            if rec.input_kind == EDGE:
-                continue
-            if rec.input_kind == SOS2:
-                raise MalformedSequenceError(f"record {i}: SOS2 outside component start")
-            expect = "end" if rec.output_kind == EOS else "sos2"
-    if expect != "end":
+            raise MalformedSequenceError(f"record {i}: illegal output {kind} answering {mode}")
+    if mode != EOS:
         raise MalformedSequenceError("missing terminal EOS")
+    return faces, components, stops
+
+
+def check_well_formed(seq: TokenSequence) -> None:
+    """Raise MalformedSequenceError unless ``seq`` has a bit count in [1, 16],
+    a known order, every vertex on its grid, and outputs that follow the
+    component grammar up to exactly one terminal EOS."""
+    _walk(seq)
 
 
 def _start_edge(
     mesh: QuantizedMesh,
     conn: halfedge.HalfEdgeConnectivity,
     visited: list[bool],
-    key: Callable[[QuantizedVertex], tuple],
 ) -> tuple[int, int]:
     """Deterministic component start: the half-edge of an unvisited face whose
     origin is the lowest incident vertex, then the lowest destination; ties on
     equal positions break by vertex index."""
+    key = height_sort_key
     best_origin: Optional[int] = None
     for fi in range(conn.n_faces):
         if visited[fi]:
@@ -162,11 +212,7 @@ def _start_edge(
     return best_origin, best_dest
 
 
-def encode(
-    mesh: QuantizedMesh,
-    order: str = DFS,
-    start_key: Callable[[QuantizedVertex], tuple] = height_sort_key,
-) -> TokenSequence:
+def encode(mesh: QuantizedMesh, order: str = DFS) -> TokenSequence:
     """Tokenize a mesh. Deterministic: identical input, identical output.
 
     Raises InvalidMeshError, carrying the validation report, when the mesh
@@ -177,54 +223,45 @@ def encode(
     conn = halfedge.build(mesh)
     if not conn.report.ok:
         raise InvalidMeshError(conn.report)
-    pos = mesh.vertices
+    emit = [answer_vertex(p) for p in mesh.vertices]
     visited = [False] * conn.n_faces
     remaining = conn.n_faces
-    records: list[StepRecord] = []
+    outputs: list[PredictorAnswer] = []
     pending: deque[tuple[int, int]] = deque()
     take = pending.pop if order == DFS else pending.popleft
 
     while remaining:
-        v1, v2 = _start_edge(mesh, conn, visited, start_key)
-        records.append(StepRecord(SOS, None, VERTEX, pos[v1]))
-        records.append(StepRecord(SOS2, None, VERTEX, pos[v2]))
+        v1, v2 = _start_edge(mesh, conn, visited)
+        outputs.append(emit[v1])
+        outputs.append(emit[v2])
         pending.append((v2, v1))  # twin first, so (v1, v2) is processed first
         pending.append((v1, v2))
         while pending:
             a, b = take()
-            edge = (pos[a], pos[b])
             h = conn.lookup(a, b)
             if h is None or visited[conn.face_of(h)]:
-                records.append(StepRecord(EDGE, edge, STOP, None))
+                outputs.append(ANSWER_STOP)
                 continue
             visited[conn.face_of(h)] = True
             remaining -= 1
             c = conn.opposite_vertex(h)
-            records.append(StepRecord(EDGE, edge, VERTEX, pos[c]))
+            outputs.append(emit[c])
             pending.append((a, c))
             pending.append((c, b))
-    records.append(StepRecord(SOS, None, EOS, None))
-    return TokenSequence(bits=mesh.bits, order=order, records=records)
+    outputs.append(ANSWER_EOS)
+    return TokenSequence(bits=mesh.bits, order=order, outputs=outputs)
 
 
 def sequence_stats(seq: TokenSequence) -> SequenceStats:
     """Length accounting, including the token-per-face ratio against the naive
     nine-tokens-per-face baseline."""
-    check_well_formed(seq)
-    n_faces = sum(
-        1 for r in seq.records if r.input_kind == EDGE and r.output_kind == VERTEX
-    )
-    n_components = sum(
-        1 for r in seq.records if r.input_kind == SOS and r.output_kind == VERTEX
-    )
-    n_stops = sum(1 for r in seq.records if r.output_kind == STOP)
-    n_traversal = sum(1 for r in seq.records if r.input_kind == EDGE)
-    ratio = len(seq.records) / (9 * n_faces) if n_faces else None
+    n_faces, n_components, n_stops = _walk(seq)
+    length = len(seq.outputs)
     return SequenceStats(
-        length=len(seq.records),
+        length=length,
         n_faces=n_faces,
         n_components=n_components,
         n_stops=n_stops,
-        n_traversal_records=n_traversal,
-        ratio=ratio,
+        n_traversal_records=n_faces + n_stops,
+        ratio=length / (9 * n_faces) if n_faces else None,
     )

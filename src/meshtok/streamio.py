@@ -6,17 +6,22 @@ Token stream (binary, extension .tmts):
     records: opcode u8 (0 = VERTEX, 1 = STOP, 2 = EOS); VERTEX is followed by
              z, y, x as three u16 LE grid coordinates.
 
-Only step outputs are stored. The reader reconstructs every input by
-replaying the decoder's stack machine, which is what makes two tokens per
-face real at the file level. Exactly one EOS is allowed and it must be last;
-trailing bytes, out-of-range coordinates, and structurally impossible output
-sequences are rejected.
+Only step outputs are stored, exactly what a ``TokenSequence`` holds; the
+decoder's stack machine re-derives every input on replay, which is what
+makes two tokens per face real at the file level. The writers check the
+sequence with ``check_well_formed`` first. ``read_stream_answers`` returns
+the header fields and the outputs: exactly one EOS is allowed and it must be
+last; trailing bytes, out-of-range coordinates and text that is not UTF-8
+are rejected with FormatError. Whether the outputs form a transcript the
+machine can replay is for ``generator.replay_outputs`` to decide.
 
 Token stream (text): one JSON object per line, same information as binary.
     {"magic":"TMTS","bits":7,"order":"dfs"}
     {"op":"v","z":Z,"y":Y,"x":X} | {"op":"stop"} | {"op":"eos"}
 
-Both forms convert losslessly into each other.
+Both forms convert losslessly into each other. The pipe protocol for
+external predictors (``generator.PipePredictor``) answers with the same
+records.
 """
 
 from __future__ import annotations
@@ -37,16 +42,18 @@ from .core import (
     dequantize_coord,
 )
 from .sequencer import (
+    ANSWER_EOS,
+    ANSWER_STOP,
     BFS,
     DFS,
     EOS,
     STOP,
     VERTEX,
+    PredictorAnswer,
     TokenSequence,
+    answer_vertex,
     check_well_formed,
 )
-from . import generator
-from .generator import ANSWER_EOS, ANSWER_STOP, PredictorAnswer, answer_vertex
 
 MAGIC = b"TMTS"
 VERSION = 1
@@ -165,21 +172,14 @@ def write_obj(mesh: Union[QuantizedMesh, MeshReal], path: Union[str, Path]) -> N
 
 def write_stream(seq: TokenSequence, path: Union[str, Path]) -> None:
     check_well_formed(seq)
-    if not 1 <= seq.bits <= 16:
-        raise FormatError(f"bits {seq.bits} outside [1, 16]")
-    cells = 1 << seq.bits
     flags = 0 if seq.order == DFS else 1
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<BBBI", VERSION, seq.bits, flags, len(seq.records))
-    for rec in seq.records:
-        if rec.output_kind == VERTEX:
-            v = rec.output_vertex
-            assert v is not None
-            if not all(0 <= q < cells for q in v):
-                raise FormatError(f"coordinate out of range for {seq.bits}-bit grid")
+    out += struct.pack("<BBBI", VERSION, seq.bits, flags, len(seq.outputs))
+    for kind, v in seq.outputs:
+        if kind == VERTEX:
             out += struct.pack("<BHHH", _OP_VERTEX, v.z, v.y, v.x)
-        elif rec.output_kind == STOP:
+        elif kind == STOP:
             out.append(_OP_STOP)
         else:
             out.append(_OP_EOS)
@@ -237,62 +237,63 @@ def _require_single_terminal_eos(answers: list[PredictorAnswer]) -> None:
         raise FormatError("stream must contain exactly one EOS, as its last record")
 
 
-def _rebuild_sequence(bits: int, order: str, answers: list[PredictorAnswer]) -> TokenSequence:
-    try:
-        result = generator.replay_outputs(answers, bits, order)
-    except (generator.DesyncError, generator.IllegalAnswerError) as exc:
-        raise FormatError(f"stream is not a valid machine transcript: {exc}") from exc
-    return result.transcript
-
-
-def read_stream(path: Union[str, Path]) -> TokenSequence:
-    """Read a binary stream and reconstruct step inputs by machine replay."""
-    bits, order, answers = _parse_stream_bytes(Path(path).read_bytes())
-    return _rebuild_sequence(bits, order, answers)
-
-
 def read_stream_answers(path: Union[str, Path]) -> tuple[int, str, list[PredictorAnswer]]:
     """Header fields plus raw outputs, auto-detecting binary vs text form."""
     data = Path(path).read_bytes()
     if data[:4] == MAGIC:
         return _parse_stream_bytes(data)
     if data[:1] == b"{":
-        return _parse_text_stream(data.decode("utf-8"))
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"text stream is not UTF-8: {exc.reason}", exc.start) from None
+        return _parse_text_stream(text)
     raise FormatError("neither a binary nor a text token stream", 0)
+
+
+def _answer_line(a: PredictorAnswer) -> str:
+    """One output as a text-stream record."""
+    if a.kind == VERTEX:
+        v = a.vertex
+        return f'{{"op":"v","z":{v.z},"y":{v.y},"x":{v.x}}}'
+    return '{"op":"stop"}' if a.kind == STOP else '{"op":"eos"}'
 
 
 def dumps_text_stream(seq: TokenSequence) -> str:
     check_well_formed(seq)
-    if not 1 <= seq.bits <= 16:
-        raise FormatError(f"bits {seq.bits} outside [1, 16]")
-    lines = [
-        json.dumps(
-            {"magic": "TMTS", "bits": seq.bits, "order": seq.order},
-            separators=(",", ":"),
-        )
-    ]
-    for rec in seq.records:
-        if rec.output_kind == VERTEX:
-            v = rec.output_vertex
-            assert v is not None
-            lines.append(
-                json.dumps({"op": "v", "z": v.z, "y": v.y, "x": v.x}, separators=(",", ":"))
-            )
-        elif rec.output_kind == STOP:
-            lines.append('{"op":"stop"}')
-        else:
-            lines.append('{"op":"eos"}')
-    return "\n".join(lines) + "\n"
+    header = json.dumps(
+        {"magic": "TMTS", "bits": seq.bits, "order": seq.order}, separators=(",", ":")
+    )
+    return "\n".join([header, *map(_answer_line, seq.outputs)]) + "\n"
 
 
-def _text_object(line: str, lineno: int) -> dict:
+def _text_object(line: str, where: str) -> dict:
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-        raise FormatError(f"bad JSON on line {lineno}: {exc}") from exc
+        raise FormatError(f"bad JSON on {where}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise FormatError(f"line {lineno} is not a JSON object")
+        raise FormatError(f"{where} is not a JSON object")
     return obj
+
+
+def _parse_answer(line: str, where: str, cells: int = 1 << 16) -> PredictorAnswer:
+    """One text-stream record; FormatError, naming ``where``, unless it is a
+    STOP, an EOS or a vertex with integer coordinates in [0, cells)."""
+    obj = _text_object(line, where)
+    op = obj.get("op")
+    if op == "v":
+        xyz = obj.get("x"), obj.get("y"), obj.get("z")
+        if not all(type(q) is int and 0 <= q < cells for q in xyz):  # bool is no coordinate
+            raise FormatError(
+                f"vertex on {where} needs integer x, y, z in [0, {cells}), got {xyz}"
+            )
+        return answer_vertex(QuantizedVertex(*xyz))
+    if op == "stop":
+        return ANSWER_STOP
+    if op == "eos":
+        return ANSWER_EOS
+    raise FormatError(f"unknown op {op!r} on {where}")
 
 
 def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
@@ -302,7 +303,7 @@ def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
     if not lines:
         raise FormatError("empty text stream")
     header_line, header_text = lines[0]
-    header = _text_object(header_text, header_line)
+    header = _text_object(header_text, f"line {header_line}")
     if header.get("magic") != "TMTS":
         raise FormatError(f"bad magic in text header on line {header_line}")
     bits = header.get("bits")
@@ -312,34 +313,13 @@ def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
     if order not in (DFS, BFS):
         raise FormatError(f"unknown order {order!r} on line {header_line}")
     cells = 1 << bits
-    answers: list[PredictorAnswer] = []
-    for i, line in lines[1:]:
-        obj = _text_object(line, i)
-        op = obj.get("op")
-        if op == "v":
-            xyz = obj.get("x"), obj.get("y"), obj.get("z")
-            if not all(type(q) is int and 0 <= q < cells for q in xyz):
-                raise FormatError(
-                    f"vertex on line {i} needs integer x, y, z in [0, {cells}), got {xyz}"
-                )
-            answers.append(answer_vertex(QuantizedVertex(*xyz)))
-        elif op == "stop":
-            answers.append(ANSWER_STOP)
-        elif op == "eos":
-            answers.append(ANSWER_EOS)
-        else:
-            raise FormatError(f"unknown op {op!r} on line {i}")
+    answers = [_parse_answer(line, f"line {i}", cells) for i, line in lines[1:]]
     _require_single_terminal_eos(answers)
     return bits, order, answers
 
 
 def write_text_stream(seq: TokenSequence, path: Union[str, Path]) -> None:
     Path(path).write_text(dumps_text_stream(seq), encoding="utf-8")
-
-
-def read_text_stream(path: Union[str, Path]) -> TokenSequence:
-    bits, order, answers = _parse_text_stream(Path(path).read_text(encoding="utf-8"))
-    return _rebuild_sequence(bits, order, answers)
 
 
 # --- point clouds ------------------------------------------------------------

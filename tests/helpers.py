@@ -2,17 +2,20 @@
 
 The oracles here deliberately avoid the library's fast paths: components via
 union-find over shared edges, validation via a standalone directed-edge scan,
+step records via the index-based traversal that ``encode`` runs, without the
+decoder's position-keyed machine,
 normal consistency via scalar all-pairs loops, and point-to-triangle distance
 via dense sampling on a barycentric lattice.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 
 from meshtok.core import Face, MeshReal, QuantizedMesh, Violation
+from meshtok.sequencer import EDGE, EOS, SOS, SOS2, STOP, VERTEX, StepRecord
 from meshtok.metrics import point_to_triangle_distance
 
 
@@ -31,6 +34,43 @@ def winding_flipped(mesh: QuantizedMesh) -> QuantizedMesh:
     return QuantizedMesh(
         list(mesh.vertices), [Face(f.a, f.c, f.b) for f in mesh.faces], mesh.bits
     )
+
+
+def reference_records(mesh: QuantizedMesh, order: str) -> list[StepRecord]:
+    """Records of ``encode(mesh, order)`` built during the traversal itself:
+    each popped edge is looked up among the faces' directed edges by vertex
+    index, and the component start is the (z, y, x)-lowest origin, then
+    destination, among unvisited faces, ties broken by vertex index."""
+    pos = mesh.vertices
+    opposite = {}  # directed edge -> (face, opposite vertex)
+    for fi, (a, b, c) in enumerate(mesh.faces):
+        opposite[a, b], opposite[b, c], opposite[c, a] = (fi, c), (fi, a), (fi, b)
+    visited = [False] * len(mesh.faces)
+    pending: deque = deque()
+    take = pending.pop if order == "dfs" else pending.popleft
+    records = []
+
+    def key(i):
+        return (pos[i].z, pos[i].y, pos[i].x, i)
+
+    while not all(visited):
+        open_edges = [e for e, (fi, _) in opposite.items() if not visited[fi]]
+        v1 = min((o for o, _ in open_edges), key=key)
+        v2 = min((d for o, d in open_edges if o == v1), key=key)
+        records.append(StepRecord(SOS, None, VERTEX, pos[v1]))
+        records.append(StepRecord(SOS2, None, VERTEX, pos[v2]))
+        pending += [(v2, v1), (v1, v2)]
+        while pending:
+            a, b = take()
+            fi, c = opposite.get((a, b), (None, None))
+            if fi is None or visited[fi]:
+                records.append(StepRecord(EDGE, (pos[a], pos[b]), STOP, None))
+                continue
+            visited[fi] = True
+            records.append(StepRecord(EDGE, (pos[a], pos[b]), VERTEX, pos[c]))
+            pending += [(a, c), (c, b)]
+    records.append(StepRecord(SOS, None, EOS, None))
+    return records
 
 
 def reference_violations(mesh: QuantizedMesh) -> list[Violation]:

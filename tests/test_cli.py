@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from meshtok import cli, halfedge
+from meshtok import cli, generator, halfedge, sequencer
 from meshtok.cli import main
 from meshtok.preprocess import quantize
 from meshtok.procgen import tetrahedron, torus, two_component_scene
@@ -111,6 +111,28 @@ def test_tokenize_walks_the_directed_edges_once(tmp_path, tetra_obj, monkeypatch
     monkeypatch.setattr(halfedge, "build", lambda mesh: builds.append(1) or build(mesh))
     assert main(["tokenize", str(tetra_obj), "-o", str(tmp_path / "t.tmts")]) == 0
     assert (CountingList.walks, len(builds)) == (1, 1)
+
+
+def test_codec_commands_build_no_records_or_queries(tmp_path, tetra_obj, monkeypatch):
+    built = []
+
+    def counting(cls):
+        def make(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+
+        return make
+
+    monkeypatch.setattr(sequencer, "StepRecord", counting(sequencer.StepRecord))
+    monkeypatch.setattr(generator, "PredictorQuery", counting(generator.PredictorQuery))
+    for text in ([], ["--text"]):
+        stream, out = str(tmp_path / "t"), str(tmp_path / "t.obj")
+        assert main(["tokenize", str(tetra_obj), "-o", stream, *text]) == 0
+        assert main(["detokenize", stream, "-o", out]) == 0
+    assert built == []
+    # The probes do see construction: derived records and a fuzz run.
+    assert main(["fuzz", "--seed", "1", "--max-steps", "5"]) == 0
+    assert set(built) == {"StepRecord", "PredictorQuery"}
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -25,6 +25,7 @@ from meshtok.generator import (
     GeneratorConfig,
     IllegalAnswerError,
     PipePredictor,
+    answer_from_json,
     answer_to_json,
     answer_vertex,
     decode,
@@ -33,6 +34,7 @@ from meshtok.generator import (
     replay_outputs,
     run,
 )
+from meshtok.streamio import FormatError
 from helpers import canonical_faces
 
 V1 = QuantizedVertex(0, 0, 0)
@@ -73,28 +75,24 @@ class TestDecode:
         assert len(out.faces) == 2
         assert canonical_faces(out) == canonical_faces(pillow)
 
-    def test_tampered_edge_desyncs(self, tetra, corpus7):
+    def test_vertex_on_an_edge_endpoint_desyncs(self, tetra, corpus7):
+        # The grammar holds, so only replay can tell: the face would repeat
+        # a vertex.
         for mesh in (tetra, dict(corpus7)["torus_12x8"]):
             seq = encode(mesh)
-            edges = [i for i, r in enumerate(seq.records) if r.input_kind == EDGE]
-            assert len(edges) == 2 * len(mesh.faces) + 2
-            for i in edges:
-                rec = seq.records[i]
-                flipped = rec._replace(input_edge=(rec.input_edge[1], rec.input_edge[0]))
-                bad = TokenSequence(seq.bits, seq.order, list(seq.records))
-                bad.records[i] = flipped
-                with pytest.raises(DesyncError):
-                    decode(bad)
-
-    def test_input_kind_mismatch_desyncs_before_illegal_answer(self, triangle):
-        # Dropping one STOP keeps the grammar but leaves an edge pending, so
-        # the machine poses an EDGE query where the record says SOS -> EOS.
-        seq = encode(triangle)
-        assert seq.records[5].output_kind == STOP
-        bad = TokenSequence(seq.bits, seq.order, seq.records[:5] + seq.records[6:])
-        check_well_formed(bad)
-        with pytest.raises(DesyncError):
-            decode(bad)
+            faces = [
+                i
+                for i, r in enumerate(seq.records)
+                if r.input_kind == EDGE and r.output_kind == VERTEX
+            ]
+            assert len(faces) == len(mesh.faces)
+            for i in faces:
+                for endpoint in seq.records[i].input_edge:
+                    bad = TokenSequence(seq.bits, seq.order, list(seq.outputs))
+                    bad.outputs[i] = answer_vertex(endpoint)
+                    check_well_formed(bad)
+                    with pytest.raises(DesyncError, match=f"step {i}: "):
+                        decode(bad)
 
     def test_vertices_dedup_by_position(self, tetra):
         out = decode(encode(tetra))
@@ -177,6 +175,33 @@ class TestRunHalts:
         assert result.transcript.truncated
         assert len(result.transcript.records) == 10
 
+    @pytest.mark.parametrize("order", ["dfs", "bfs"])
+    def test_budget_halted_transcript_derives_the_queries(self, order):
+        # On a 2-bit grid the fuzzer's answers get coerced to STOP; the
+        # records pair each query with the output after coercion.
+        seen, given = [], []
+        fuzz = fuzz_predictor(0, bits=2)
+
+        def spy(query):
+            seen.append(query)
+            given.append(fuzz(query))
+            return given[-1]
+
+        result = run(spy, GeneratorConfig(bits=2, order=order, max_steps=60))
+        assert result.halt == "budget"
+        assert given != result.transcript.outputs
+        records = result.transcript.records
+        assert [(r.input_kind, r.input_edge) for r in records] == [
+            (q.kind, q.edge) for q in seen
+        ]
+        assert [(r.output_kind, r.output_vertex) for r in records] == result.transcript.outputs
+
+    def test_unknown_order_rejected(self):
+        with pytest.raises(ValueError, match="unknown traversal order"):
+            run(fuzz_predictor(0), GeneratorConfig(order="xyz"))
+        with pytest.raises(ValueError, match="unknown traversal order"):
+            replay_outputs([ANSWER_EOS], 7, "xyz")
+
     def test_illegal_answers_abort(self):
         with pytest.raises(IllegalAnswerError):
             run(_script(ANSWER_STOP))  # STOP answering SOS
@@ -199,13 +224,9 @@ class TestRunHalts:
 class TestReplayOutputs:
     def test_rebuilds_the_encoded_sequence(self, tetra):
         seq = encode(tetra)
-        answers = [
-            answer_vertex(r.output_vertex) if r.output_kind == VERTEX
-            else (ANSWER_STOP if r.output_kind == STOP else ANSWER_EOS)
-            for r in seq.records
-        ]
-        rebuilt = replay_outputs(answers, seq.bits, seq.order).transcript
+        rebuilt = replay_outputs(list(seq.outputs), seq.bits, seq.order).transcript
         assert rebuilt == seq
+        assert rebuilt.records == seq.records
 
     def test_trailing_outputs_rejected(self):
         with pytest.raises(DesyncError):
@@ -294,6 +315,33 @@ class TestPipeProtocol:
         assert lines[1] == '{"op":"stop"}'
         assert lines[2] == '{"op":"eos"}'
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1]",
+            '{"op":"v","z":1}',
+            '{"op":"v","z":1.9,"y":2.7,"x":true}',
+            '{"op":"v","z":1,"y":2,"x":-1}',
+            '{"op":"v","z":1,"y":2,',
+            '{"op":"face"}',
+        ],
+        ids=[
+            "not_an_object",
+            "missing_coordinate",
+            "fractional_and_bool",
+            "negative",
+            "bad_json",
+            "unknown_op",
+        ],
+    )
+    def test_malformed_answer_is_a_format_error(self, line):
+        with pytest.raises(FormatError, match="answer line"):
+            answer_from_json(line)
+
+    def test_answer_json_roundtrips(self):
+        for answer in (answer_vertex(QuantizedVertex(1, 2, 3)), ANSWER_STOP, ANSWER_EOS):
+            assert answer_from_json(answer_to_json(answer)) == answer
+
     def test_query_json_shapes(self, triangle):
         seen = []
 
@@ -304,11 +352,7 @@ class TestPipeProtocol:
         from meshtok.generator import query_to_json as json_line
 
         seq = encode(triangle)
-        replay = [
-            answer_vertex(r.output_vertex) if r.output_kind == VERTEX
-            else (ANSWER_STOP if r.output_kind == STOP else ANSWER_EOS)
-            for r in seq.records
-        ]
+        replay = seq.outputs
         run(spy, GeneratorConfig(max_steps=len(replay)))
         assert [q.kind for q in seen] == [r.input_kind for r in seq.records]
         assert seen[2].edge == seq.records[2].input_edge

@@ -15,6 +15,8 @@ from meshtok.core import (
 from meshtok.preprocess import quantize
 from meshtok.procgen import torus
 from meshtok.sequencer import (
+    ANSWER_EOS,
+    ANSWER_STOP,
     EDGE,
     EOS,
     SOS,
@@ -23,13 +25,15 @@ from meshtok.sequencer import (
     VERTEX,
     InvalidMeshError,
     MalformedSequenceError,
+    PredictorAnswer,
     StepRecord,
     TokenSequence,
+    answer_vertex,
     check_well_formed,
     encode,
     sequence_stats,
 )
-from helpers import reference_violations
+from helpers import reference_records, reference_violations
 
 
 def _component_spans(seq):
@@ -68,6 +72,20 @@ class TestSingleTriangleTrace:
             StepRecord(SOS, None, EOS, None),
         ]
 
+    def test_sequence_holds_the_outputs(self, triangle):
+        v0, v1, v2 = triangle.vertices
+        seq = encode(triangle)
+        assert seq.outputs == [
+            answer_vertex(v0),
+            answer_vertex(v1),
+            answer_vertex(v2),
+            ANSWER_STOP,
+            ANSWER_STOP,
+            ANSWER_STOP,
+            ANSWER_EOS,
+        ]
+        assert "records" not in vars(seq)  # derived on first access only
+
     def test_first_expansion_then_boundary_stop(self, triangle):
         # The first popped edge yields the opposite vertex; the next pop is the
         # newly pushed (v2, v1), a boundary, answered STOP.
@@ -80,6 +98,16 @@ class TestSingleTriangleTrace:
         st = sequence_stats(encode(triangle))
         assert (st.length, st.n_faces, st.n_components, st.n_stops) == (7, 1, 1, 3)
         assert st.ratio == pytest.approx(7 / 9)
+
+
+def test_derived_records_match_the_traversal(corpus7, corpus9):
+    for name, mesh in corpus7 + corpus9:
+        for order in ("dfs", "bfs"):
+            assert encode(mesh, order).records == reference_records(mesh, order), (
+                name,
+                mesh.bits,
+                order,
+            )
 
 
 class TestTetrahedronTrace:
@@ -184,35 +212,45 @@ class TestErrors:
 
     def test_missing_eos_is_malformed(self, triangle):
         seq = encode(triangle)
-        broken = TokenSequence(seq.bits, seq.order, seq.records[:-1])
+        broken = TokenSequence(seq.bits, seq.order, seq.outputs[:-1])
         with pytest.raises(MalformedSequenceError):
             sequence_stats(broken)
 
     def test_record_after_eos_is_malformed(self, triangle):
         seq = encode(triangle)
-        broken = TokenSequence(
-            seq.bits, seq.order, seq.records + [StepRecord(SOS, None, EOS, None)]
-        )
+        broken = TokenSequence(seq.bits, seq.order, seq.outputs + [ANSWER_EOS])
         with pytest.raises(MalformedSequenceError):
             check_well_formed(broken)
 
     def test_truncated_flag_is_malformed(self, triangle):
         seq = encode(triangle)
         with pytest.raises(MalformedSequenceError):
-            check_well_formed(TokenSequence(seq.bits, seq.order, seq.records, truncated=True))
+            check_well_formed(TokenSequence(seq.bits, seq.order, seq.outputs, truncated=True))
+
+    def test_dropped_stop_is_malformed(self, triangle):
+        # One STOP short, the last edge of the component is still pending
+        # where the outputs give EOS.
+        seq = encode(triangle)
+        assert seq.outputs[5] == ANSWER_STOP
+        bad = TokenSequence(seq.bits, seq.order, seq.outputs[:5] + seq.outputs[6:])
+        with pytest.raises(MalformedSequenceError, match="record 5: illegal output eos"):
+            check_well_formed(bad)
 
     def test_illegal_record_pairing_rejected(self, triangle):
+        # Each output is replaced by one its derived input does not admit.
         seq = encode(triangle)
         v = QuantizedVertex(0, 0, 0)
-        for index, record in [
-            (0, StepRecord(SOS, None, STOP, None)),
-            (1, StepRecord(SOS2, None, EOS, None)),
-            (2, StepRecord(EDGE, None, STOP, None)),
-            (3, StepRecord(EDGE, (v, v), VERTEX, None)),
-            (6, StepRecord(SOS, None, EOS, v)),
+        for index, output in [
+            (0, ANSWER_STOP),  # answers SOS
+            (1, ANSWER_EOS),  # answers SOS2
+            (2, ANSWER_EOS),  # answers EDGE
+            (3, PredictorAnswer(VERTEX)),  # no vertex
+            (1, answer_vertex(QuantizedVertex(0, 128, 0))),  # off the 7-bit grid
+            (4, PredictorAnswer("face")),  # unknown kind
+            (6, PredictorAnswer(EOS, v)),  # EOS with a vertex
         ]:
-            bad = TokenSequence(seq.bits, seq.order, list(seq.records))
-            bad.records[index] = record
+            bad = TokenSequence(seq.bits, seq.order, list(seq.outputs))
+            bad.outputs[index] = output
             with pytest.raises(MalformedSequenceError, match=f"record {index}: "):
                 check_well_formed(bad)
 

@@ -5,12 +5,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from meshtok.core import MeshReal, QuantizedMesh
+from meshtok.core import MeshReal, QuantizedMesh, QuantizedVertex
 from meshtok.preprocess import quantize
 from meshtok.procgen import big_torus, torus
-from meshtok.sequencer import encode
-from meshtok.generator import decode
+from meshtok.sequencer import MalformedSequenceError, TokenSequence, answer_vertex, encode
+from meshtok.generator import DesyncError, IllegalAnswerError, decode, replay_outputs
 from meshtok import streamio
 from meshtok.streamio import (
     EmptyMeshError,
@@ -18,13 +19,16 @@ from meshtok.streamio import (
     NonTriangleError,
     ObjParseError,
     read_obj,
-    read_stream,
-    read_text_stream,
+    read_stream_answers,
     write_obj,
     write_pointcloud,
     write_stream,
     write_text_stream,
 )
+
+
+def _read_sequence(path) -> TokenSequence:
+    return TokenSequence(*read_stream_answers(path))
 
 
 def _write(tmp_path, text, name="mesh.obj"):
@@ -131,27 +135,29 @@ class TestBinaryStream:
         seq = encode(tetra)
         p1, p2 = tmp_path / "a.tmts", tmp_path / "b.tmts"
         write_stream(seq, p1)
-        write_stream(read_stream(p1), p2)
+        write_stream(_read_sequence(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_read_reconstructs_the_recorded_inputs(self, tetra, tmp_path):
         seq = encode(tetra)
         path = tmp_path / "t.tmts"
         write_stream(seq, path)
-        assert read_stream(path) == seq
+        back = _read_sequence(path)
+        assert back == seq
+        assert back.records == seq.records
 
     def test_bfs_flag_roundtrips(self, tetra, tmp_path):
         path = tmp_path / "t.tmts"
         write_stream(encode(tetra, "bfs"), path)
         assert path.read_bytes()[6] == 1
-        assert read_stream(path).order == "bfs"
+        assert _read_sequence(path).order == "bfs"
 
     def test_decode_through_files_matches_direct_decode(self, corpus7, tmp_path):
         for name, mesh in corpus7[:6]:
             seq = encode(mesh)
             path = tmp_path / f"{name}.tmts"
             write_stream(seq, path)
-            assert decode(read_stream(path)) == decode(seq), name
+            assert decode(_read_sequence(path)) == decode(seq), name
 
     def _valid_bytes(self, triangle, tmp_path) -> bytes:
         path = tmp_path / "v.tmts"
@@ -162,7 +168,7 @@ class TestBinaryStream:
         path = tmp_path / "bad.tmts"
         path.write_bytes(data)
         with pytest.raises(FormatError):
-            read_stream(path)
+            read_stream_answers(path)
 
     def test_truncated_rejected(self, triangle, tmp_path):
         data = self._valid_bytes(triangle, tmp_path)
@@ -203,15 +209,16 @@ class TestBinaryStream:
         self._expect_error(tmp_path, bytes(data))
 
     def test_structurally_impossible_stream_rejected(self, tmp_path):
-        # STOP cannot answer the opening query.
-        data = b"TMTS" + struct.pack("<BBBI", 1, 7, 0, 2) + bytes([1, 2])
-        self._expect_error(tmp_path, data)
+        # STOP cannot answer the opening query: the file parses, replay refuses.
+        path = tmp_path / "bad.tmts"
+        path.write_bytes(b"TMTS" + struct.pack("<BBBI", 1, 7, 0, 2) + bytes([1, 2]))
+        bits, order, answers = read_stream_answers(path)
+        with pytest.raises(IllegalAnswerError, match="step 0: stop answers SOS"):
+            replay_outputs(answers, bits, order)
 
     def test_truncated_sequence_cannot_be_written(self, triangle, tmp_path):
-        from meshtok.sequencer import MalformedSequenceError, TokenSequence
-
         seq = encode(triangle)
-        broken = TokenSequence(seq.bits, seq.order, seq.records[:-1])
+        broken = TokenSequence(seq.bits, seq.order, seq.outputs[:-1])
         with pytest.raises(MalformedSequenceError):
             write_stream(broken, tmp_path / "x.tmts")
 
@@ -230,15 +237,15 @@ class TestTextStream:
         seq = encode(tetra)
         tp, bp = tmp_path / "t.jsonl", tmp_path / "t.tmts"
         write_text_stream(seq, tp)
-        via_text = read_text_stream(tp)
+        via_text = _read_sequence(tp)
         write_stream(via_text, bp)
-        assert read_stream(bp) == seq
+        assert _read_sequence(bp) == seq
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"magic":"NOPE","bits":7,"order":"dfs"}\n{"op":"eos"}\n')
         with pytest.raises(FormatError):
-            read_text_stream(path)
+            read_stream_answers(path)
 
     def test_out_of_range_coordinate_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -247,7 +254,14 @@ class TestTextStream:
             '{"op":"v","z":200,"y":0,"x":0}\n{"op":"eos"}\n'
         )
         with pytest.raises(FormatError):
-            read_text_stream(path)
+            read_stream_answers(path)
+
+    def test_non_utf8_text_rejected_at_its_byte(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"magic":"TMTS","bits":7,"order":"dfs"}\n{"op":"e\xffos"}\n')
+        with pytest.raises(FormatError, match="not UTF-8.*at byte 48") as err:
+            read_stream_answers(path)
+        assert err.value.offset == 48
 
     @pytest.mark.parametrize(
         "record",
@@ -275,22 +289,22 @@ class TestTextStream:
         header = '{"magic":"TMTS","bits":7,"order":"dfs"}'
         path.write_text(f'{header}\n\n{record}\n{{"op":"eos"}}\n')  # record on line 3
         with pytest.raises(FormatError, match="line 3"):
-            read_text_stream(path)
+            read_stream_answers(path)
 
     @pytest.mark.parametrize(
-        "header",
+        "header, message",
         [
-            "[1,2]",
-            '{"magic":"TMTS","bits":true,"order":"dfs"}',
-            '{"magic":"TMTS","bits":7.5,"order":"dfs"}',
+            ("[1,2]", "neither a binary nor a text token stream"),  # no text stream starts so
+            ('{"magic":"TMTS","bits":true,"order":"dfs"}', "line 1"),
+            ('{"magic":"TMTS","bits":7.5,"order":"dfs"}', "line 1"),
         ],
         ids=["not_an_object", "bool_bits", "fractional_bits"],
     )
-    def test_malformed_header_names_its_line(self, tmp_path, header):
+    def test_malformed_header_names_its_line(self, tmp_path, header, message):
         path = tmp_path / "bad.jsonl"
         path.write_text(f'{header}\n{{"op":"eos"}}\n')
-        with pytest.raises(FormatError, match="line 1"):
-            read_text_stream(path)
+        with pytest.raises(FormatError, match=message):
+            read_stream_answers(path)
 
     def test_answers_autodetect(self, triangle, tmp_path):
         seq = encode(triangle)
@@ -298,6 +312,68 @@ class TestTextStream:
         write_text_stream(seq, tp)
         write_stream(seq, bp)
         assert streamio.read_stream_answers(tp) == streamio.read_stream_answers(bp)
+
+
+class TestWritersCheckTheSequence:
+    """Both writers refuse, through ``check_well_formed``, what no reader
+    would accept."""
+
+    @pytest.mark.parametrize("write", [write_stream, write_text_stream])
+    def test_out_of_grid_vertex(self, triangle, tmp_path, write):
+        seq = encode(triangle)
+        seq.outputs[2] = answer_vertex(QuantizedVertex(0, 0, 200))
+        with pytest.raises(MalformedSequenceError, match="record 2: .*7-bit grid"):
+            write(seq, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("write", [write_stream, write_text_stream])
+    @pytest.mark.parametrize("bits, order", [(7, "xyz"), (17, "dfs"), (0, "dfs")])
+    def test_bad_header_fields(self, triangle, tmp_path, write, bits, order):
+        seq = encode(triangle)
+        with pytest.raises(MalformedSequenceError):
+            write(TokenSequence(bits, order, seq.outputs), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
+
+def _mutations(n_bytes: int):
+    """Up to three (position, byte) replacements of an ``n_bytes``-long file."""
+    return st.lists(
+        st.tuples(st.integers(0, n_bytes - 1), st.integers(0, 255)), min_size=1, max_size=3
+    )
+
+
+@pytest.mark.parametrize("order", ["dfs", "bfs"])
+@pytest.mark.parametrize("write", [write_stream, write_text_stream], ids=["binary", "text"])
+def test_byte_mutations_read_cleanly_or_raise_format_error(tmp_path, tetra, order, write):
+    valid = tmp_path / "valid"
+    write(encode(tetra, order), valid)
+    data = valid.read_bytes()
+    path = tmp_path / "mutant"
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_mutations(len(data)))
+    def check(edits):
+        mutant = bytearray(data)
+        for i, byte in edits:
+            mutant[i] = byte
+        path.write_bytes(bytes(mutant))
+        try:
+            bits, got_order, answers = read_stream_answers(path)
+        except FormatError:
+            return
+        for strict in (True, False):
+            try:
+                replay_outputs(
+                    answers,
+                    bits,
+                    got_order,
+                    duplicate_check=not strict,
+                    coerce_degenerate=not strict,
+                )
+            except (DesyncError, IllegalAnswerError):
+                pass
+
+    check()
 
 
 class TestPointCloud:
