@@ -147,6 +147,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                     "cd": report.cd,
                     "nc": report.nc,
                     "abs_nc": report.abs_nc,
+                    "flipped": report.flipped,
                     "samples": report.samples,
                     "seed": report.seed,
                 },

@@ -68,7 +68,9 @@ class ValidationReport:
 def quantize_coord(x: float, bits: int) -> int:
     """Map a real coordinate in [-0.5, 0.5] to its grid cell (clamped)."""
     cells = 1 << bits
-    q = int(np.floor((x + 0.5) * cells))
+    # floor((x + 0.5) * cells), exactly: the sum x + 0.5 can round up onto a
+    # cell boundary, while scaling by a power of two and adding an int cannot.
+    q = int(np.floor(x * cells)) + cells // 2
     return min(max(q, 0), cells - 1)
 
 

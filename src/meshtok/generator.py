@@ -40,7 +40,7 @@ from .sequencer import (
     answer_vertex,
     check_well_formed,
 )
-from .streamio import _answer_line, _parse_answer
+from .streamio import FormatError, _answer_line, _parse_answer, _parse_vertex, _text_object
 
 HALT_EOS = "eos"
 HALT_BUDGET = "budget"
@@ -296,10 +296,6 @@ def _vertex_obj(v: QuantizedVertex) -> dict:
     return {"z": v.z, "y": v.y, "x": v.x}
 
 
-def _vertex_from_obj(obj: dict) -> QuantizedVertex:
-    return QuantizedVertex(int(obj["x"]), int(obj["y"]), int(obj["z"]))
-
-
 def query_to_json(query: PredictorQuery) -> str:
     obj: dict = {
         "step": query.step,
@@ -318,19 +314,27 @@ def query_to_json(query: PredictorQuery) -> str:
 
 
 def query_from_json(line: str) -> PredictorQuery:
-    obj = json.loads(line)
-    kind = obj["kind"]
-    v1 = _vertex_from_obj(obj["v1"]) if kind == SOS2 else None
+    """Parse one request line; FormatError unless it is a JSON object with a
+    known kind, non-negative integer step, component and stack_depth, and the
+    vertices its kind carries (``v1``, or ``a`` and ``b``) with integer x, y,
+    z in [0, 2**16)."""
+    where = "query line"
+    obj = _text_object(line, where)
+    kind = obj.get("kind")
+    if kind not in (SOS, SOS2, EDGE):
+        raise FormatError(f"unknown kind {kind!r} on {where}")
+    step, component, depth = obj.get("step"), obj.get("component"), obj.get("stack_depth")
+    if not all(type(n) is int and n >= 0 for n in (step, component, depth)):  # bool is no count
+        raise FormatError(
+            f"step, component and stack_depth on {where} need non-negative integers, "
+            f"got {(step, component, depth)}"
+        )
+    v1 = _parse_vertex(obj.get("v1"), where) if kind == SOS2 else None
     edge = None
     if kind == EDGE:
-        edge = (_vertex_from_obj(obj["a"]), _vertex_from_obj(obj["b"]))
+        edge = (_parse_vertex(obj.get("a"), where), _parse_vertex(obj.get("b"), where))
     return PredictorQuery(
-        step=int(obj["step"]),
-        kind=kind,
-        component=int(obj["component"]),
-        stack_depth=int(obj["stack_depth"]),
-        v1=v1,
-        edge=edge,
+        step=step, kind=kind, component=component, stack_depth=depth, v1=v1, edge=edge
     )
 
 

@@ -41,9 +41,6 @@ class HalfEdgeConnectivity:
         """Third vertex of the face containing h: origin of next(next(h))."""
         return self.origin[self.next_of(self.next_of(h))]
 
-    def half_edges_of_face(self, f: int) -> tuple[int, int, int]:
-        return (3 * f, 3 * f + 1, 3 * f + 2)
-
 
 def build(mesh: QuantizedMesh) -> HalfEdgeConnectivity:
     """Construct connectivity and validate the mesh in the same walk.

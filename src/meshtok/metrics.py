@@ -7,14 +7,23 @@ averages unit-normal cosine similarity over both directions:
 
     nc  = mean_src(sim) / 2 + mean_ref(sim) / 2
     |nc| takes the absolute value of each similarity inside both means.
+    flipped is the share of similarities, over both directions, below zero.
 
 Faces with zero area carry no normal; they are skipped and excluded from the
 averages on both sides.
+
+The nearest-face search is exact but pruned: a KD-tree over the reference
+centroids bounds which faces can be closest, and only those are measured
+(``closest_faces``). It returns the same faces and distances as measuring
+every (point, face) pair, with the same tie rule, in memory bounded by a
+fixed number of pairs per block. The region walk that measures one pair is
+Ericson, *Real-Time Collision Detection* (2004), section 5.1.5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -23,6 +32,7 @@ from .core import MeshReal
 
 _DEGENERATE_AREA = 1e-12
 _TIE_EPS = 1e-12
+_PAIR_BUDGET = 1 << 15  # (point, face) pairs measured at once
 
 
 class EmptySurfaceError(ValueError):
@@ -34,6 +44,7 @@ class MetricsReport:
     cd: float
     nc: float
     abs_nc: float
+    flipped: float  # share of valid faces, both directions, facing against their nearest face
     samples: int
     seed: int
 
@@ -142,22 +153,24 @@ def point_to_triangle_distance(p, tri) -> float:
     return float(np.linalg.norm(p - (a + v * ab + w * ac)))
 
 
-def _closest_triangles_chunk(
+def _triangle_distances(
     p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized closest-point distances from points (n,3) to triangles
-    (m,3); returns per-point (min distance, argmin index)."""
+) -> np.ndarray:
+    """Exact distance from each point ``p[i]`` to the closed triangle
+    ``(a[i], b[i], c[i])``; the row-wise form of ``point_to_triangle_distance``.
+    Rows are the leading axes of (..., 3) arrays and broadcast, so points
+    (n, 1, 3) against triangles (m, 3) give the (n, m) grid."""
     ab = b - a
     ac = c - a
-    ap = p[:, None, :] - a[None, :, :]
-    bp = p[:, None, :] - b[None, :, :]
-    cp = p[:, None, :] - c[None, :, :]
-    d1 = np.einsum("mk,nmk->nm", ab, ap)
-    d2 = np.einsum("mk,nmk->nm", ac, ap)
-    d3 = np.einsum("mk,nmk->nm", ab, bp)
-    d4 = np.einsum("mk,nmk->nm", ac, bp)
-    d5 = np.einsum("mk,nmk->nm", ab, cp)
-    d6 = np.einsum("mk,nmk->nm", ac, cp)
+    ap = p - a
+    bp = p - b
+    cp = p - c
+    d1 = np.einsum("...k,...k->...", ab, ap)
+    d2 = np.einsum("...k,...k->...", ac, ap)
+    d3 = np.einsum("...k,...k->...", ab, bp)
+    d4 = np.einsum("...k,...k->...", ac, bp)
+    d5 = np.einsum("...k,...k->...", ab, cp)
+    d6 = np.einsum("...k,...k->...", ac, cp)
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
@@ -186,35 +199,85 @@ def _closest_triangles_chunk(
         v0 = np.where(r0, vb / safe0, 0.0)
         w0 = np.where(r0, vc / safe0, 0.0)
 
-    closest = a[None, :, :] + v0[..., None] * ab[None, :, :] + w0[..., None] * ac[None, :, :]
-    closest = np.where(r6[..., None], b[None, :, :] + t6[..., None] * (c - b)[None, :, :], closest)
-    closest = np.where(r5[..., None], a[None, :, :] + t5[..., None] * ac[None, :, :], closest)
-    closest = np.where(r4[..., None], np.broadcast_to(c[None, :, :], closest.shape), closest)
-    closest = np.where(r3[..., None], a[None, :, :] + t3[..., None] * ab[None, :, :], closest)
-    closest = np.where(r2[..., None], np.broadcast_to(b[None, :, :], closest.shape), closest)
-    closest = np.where(r1[..., None], np.broadcast_to(a[None, :, :], closest.shape), closest)
+    closest = a + v0[..., None] * ab + w0[..., None] * ac
+    closest = np.where(r6[..., None], b + t6[..., None] * (c - b), closest)
+    closest = np.where(r5[..., None], a + t5[..., None] * ac, closest)
+    closest = np.where(r4[..., None], c, closest)
+    closest = np.where(r3[..., None], a + t3[..., None] * ab, closest)
+    closest = np.where(r2[..., None], b, closest)
+    closest = np.where(r1[..., None], a, closest)
+    return np.linalg.norm(p - closest, axis=-1)
 
-    dist = np.linalg.norm(p[:, None, :] - closest, axis=2)
+
+def _blocks(sizes: np.ndarray):
+    """(lo, hi) runs of consecutive items whose sizes sum to at most
+    _PAIR_BUDGET; an item larger than the budget gets a run of its own."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _PAIR_BUDGET, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _nearest_of(
+    dist: np.ndarray, sizes: np.ndarray, cols: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(distance, face index) of the closest face per point, where point i
+    owns the next ``sizes[i]`` entries of ``dist`` and of ``cols``, the
+    distances to its candidate faces and their indices, without repeats."""
+    starts = np.cumsum(sizes) - sizes
+    dmin = np.minimum.reduceat(dist, starts)
     # Ties (coincident faces, shared closest edges) go to the lowest face
     # index; the window absorbs accumulation-order noise between equally
     # distant faces.
-    dmin = dist.min(axis=1)
-    idx = np.argmax(dist <= (dmin + _TIE_EPS)[:, None], axis=1)
-    return dist[np.arange(len(p)), idx], idx
+    tied = dist <= np.repeat(dmin + _TIE_EPS, sizes)
+    best = np.minimum.reduceat(np.where(tied, cols, m), starts)
+    return dist[cols == np.repeat(best, sizes)], best
 
 
 def closest_faces(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closest triangle per query point; chunked to bound memory, argmin ties
-    resolve to the lowest face index."""
+    """Closest triangle per query point: (exact distance, face index), ties
+    within _TIE_EPS of the minimum resolved to the lowest face index.
+
+    The result equals a search over every (point, face) pair, but only faces
+    that can be closest are measured. The distance ``ub`` to the face whose
+    centroid is nearest bounds the answer, and every point of a face lies
+    within ``R``, the largest centroid-to-vertex distance, of its centroid;
+    so a ball of radius ``ub + R`` (plus a rounding margin) around the point
+    holds the centroid of every face the full search could pick. Points are
+    measured in blocks of at most _PAIR_BUDGET pairs, which bounds memory; a
+    point whose ball holds more than half of the faces takes them all
+    without listing them.
+    """
     n, m = len(points), len(a)
     dists = np.empty(n, dtype=np.float64)
     idxs = np.empty(n, dtype=np.int64)
-    chunk = max(1, int(1_000_000 // max(m, 1)))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        d, i = _closest_triangles_chunk(points[lo:hi], a, b, c)
-        dists[lo:hi] = d
-        idxs[lo:hi] = i
+    if n == 0:
+        return dists, idxs
+    centroids = (a + b + c) / 3.0
+    reach = max(float(np.linalg.norm(v - centroids, axis=1).max()) for v in (a, b, c))
+    # Distances carry rounding errors relative to the size of the coordinates.
+    slack = _TIE_EPS + 1e-9 * (float(np.abs(points).max()) + float(np.abs(centroids).max()) + reach)
+    tree = cKDTree(centroids)
+    near = tree.query(points, workers=1)[1]
+    radii = _triangle_distances(points, a[near], b[near], c[near]) + reach + slack
+    counts = tree.query_ball_point(points, radii, workers=1, return_length=True)
+    listed = np.flatnonzero(2 * counts <= m)
+    for lo, hi in _blocks(counts[listed]):
+        rows = listed[lo:hi]
+        balls = tree.query_ball_point(points[rows], radii[rows], workers=1)
+        sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(rows))
+        cols = np.fromiter(chain.from_iterable(balls), dtype=np.int64, count=int(sizes.sum()))
+        dist = _triangle_distances(np.repeat(points[rows], sizes, axis=0), a[cols], b[cols], c[cols])
+        dists[rows], idxs[rows] = _nearest_of(dist, sizes, cols, m)
+    every = np.flatnonzero(2 * counts > m)
+    for lo, hi in _blocks(np.full(len(every), m)):
+        rows = every[lo:hi]
+        dist = _triangle_distances(points[rows, None], a, b, c).ravel()
+        sizes = np.full(len(rows), m)
+        dists[rows], idxs[rows] = _nearest_of(dist, sizes, np.tile(np.arange(m), len(rows)), m)
     return dists, idxs
 
 
@@ -229,13 +292,21 @@ def _directional_similarities(src: MeshReal, ref: MeshReal) -> np.ndarray:
     return np.einsum("ij,ij->i", n_src[valid_src], n_ref[valid_ref][nearest])
 
 
-def normal_consistency(src: MeshReal, ref: MeshReal) -> tuple[float, float]:
-    """(nc, abs_nc) between two meshes; symmetric by construction."""
+def _normal_scores(src: MeshReal, ref: MeshReal) -> tuple[float, float, float]:
+    """(nc, abs_nc, flipped) from one nearest-face search per direction."""
     sims_sr = _directional_similarities(src, ref)
     sims_rs = _directional_similarities(ref, src)
     nc = 0.5 * float(sims_sr.mean()) + 0.5 * float(sims_rs.mean())
     abs_nc = 0.5 * float(np.abs(sims_sr).mean()) + 0.5 * float(np.abs(sims_rs).mean())
-    return nc, abs_nc
+    flipped = (np.count_nonzero(sims_sr < 0.0) + np.count_nonzero(sims_rs < 0.0)) / (
+        len(sims_sr) + len(sims_rs)
+    )
+    return nc, abs_nc, flipped
+
+
+def normal_consistency(src: MeshReal, ref: MeshReal) -> tuple[float, float]:
+    """(nc, abs_nc) between two meshes; symmetric by construction."""
+    return _normal_scores(src, ref)[:2]
 
 
 def evaluate(
@@ -246,5 +317,7 @@ def evaluate(
     cd = chamfer(
         sample_surface(src, samples, seed), sample_surface(ref, samples, seed)
     )
-    nc, abs_nc = normal_consistency(src, ref)
-    return MetricsReport(cd=cd, nc=nc, abs_nc=abs_nc, samples=samples, seed=seed)
+    nc, abs_nc, flipped = _normal_scores(src, ref)
+    return MetricsReport(
+        cd=cd, nc=nc, abs_nc=abs_nc, flipped=flipped, samples=samples, seed=seed
+    )

@@ -84,7 +84,7 @@ def quantize(mesh: MeshReal, bits: int = 7) -> QuantizedMesh:
             f"coordinates span [{v.min():.6g}, {v.max():.6g}], expected [-0.5, 0.5]"
         )
     cells = 1 << bits
-    q = np.floor((v + 0.5) * cells).astype(np.int64)
+    q = np.floor(v * cells).astype(np.int64) + cells // 2  # exact, as in quantize_coord
     np.clip(q, 0, cells - 1, out=q)
 
     remap: list[int] = []

@@ -174,44 +174,6 @@ def check_well_formed(seq: TokenSequence) -> None:
     _walk(seq)
 
 
-def _start_edge(
-    mesh: QuantizedMesh,
-    conn: halfedge.HalfEdgeConnectivity,
-    visited: list[bool],
-) -> tuple[int, int]:
-    """Deterministic component start: the half-edge of an unvisited face whose
-    origin is the lowest incident vertex, then the lowest destination; ties on
-    equal positions break by vertex index."""
-    key = height_sort_key
-    best_origin: Optional[int] = None
-    for fi in range(conn.n_faces):
-        if visited[fi]:
-            continue
-        for h in conn.half_edges_of_face(fi):
-            o = conn.origin[h]
-            if best_origin is None or (key(mesh.vertices[o]), o) < (
-                key(mesh.vertices[best_origin]),
-                best_origin,
-            ):
-                best_origin = o
-    assert best_origin is not None
-    best_dest: Optional[int] = None
-    for fi in range(conn.n_faces):
-        if visited[fi]:
-            continue
-        for h in conn.half_edges_of_face(fi):
-            if conn.origin[h] != best_origin:
-                continue
-            d = conn.dest[h]
-            if best_dest is None or (key(mesh.vertices[d]), d) < (
-                key(mesh.vertices[best_dest]),
-                best_dest,
-            ):
-                best_dest = d
-    assert best_dest is not None
-    return best_origin, best_dest
-
-
 def encode(mesh: QuantizedMesh, order: str = DFS) -> TokenSequence:
     """Tokenize a mesh. Deterministic: identical input, identical output.
 
@@ -224,6 +186,17 @@ def encode(mesh: QuantizedMesh, order: str = DFS) -> TokenSequence:
     if not conn.report.ok:
         raise InvalidMeshError(conn.report)
     emit = [answer_vertex(p) for p in mesh.vertices]
+    # Every half-edge in (key(origin), origin, key(dest), dest) order, rank
+    # being a vertex's place in (height_sort_key, index) order. A component
+    # starts at the first half-edge of a face not yet visited; faces stay
+    # visited, so the cursor only moves forward.
+    n = len(mesh.vertices)
+    rank = [0] * n
+    for r, v in enumerate(sorted(range(n), key=lambda v: (height_sort_key(mesh.vertices[v]), v))):
+        rank[v] = r
+    origin, dest = conn.origin, conn.dest
+    starts = sorted(range(3 * conn.n_faces), key=lambda h: rank[origin[h]] * n + rank[dest[h]])
+    cursor = 0
     visited = [False] * conn.n_faces
     remaining = conn.n_faces
     outputs: list[PredictorAnswer] = []
@@ -231,7 +204,9 @@ def encode(mesh: QuantizedMesh, order: str = DFS) -> TokenSequence:
     take = pending.pop if order == DFS else pending.popleft
 
     while remaining:
-        v1, v2 = _start_edge(mesh, conn, visited)
+        while visited[conn.face_of(starts[cursor])]:
+            cursor += 1
+        v1, v2 = origin[starts[cursor]], dest[starts[cursor]]
         outputs.append(emit[v1])
         outputs.append(emit[v2])
         pending.append((v2, v1))  # twin first, so (v1, v2) is processed first

@@ -277,18 +277,24 @@ def _text_object(line: str, where: str) -> dict:
     return obj
 
 
+def _parse_vertex(obj, where: str, cells: int = 1 << 16) -> QuantizedVertex:
+    """A vertex from a JSON object's x, y and z; FormatError, naming
+    ``where``, unless all three are integers in [0, cells)."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"vertex on {where} is not a JSON object: {obj!r}")
+    xyz = obj.get("x"), obj.get("y"), obj.get("z")
+    if not all(type(q) is int and 0 <= q < cells for q in xyz):  # bool is no coordinate
+        raise FormatError(f"vertex on {where} needs integer x, y, z in [0, {cells}), got {xyz}")
+    return QuantizedVertex(*xyz)
+
+
 def _parse_answer(line: str, where: str, cells: int = 1 << 16) -> PredictorAnswer:
     """One text-stream record; FormatError, naming ``where``, unless it is a
     STOP, an EOS or a vertex with integer coordinates in [0, cells)."""
     obj = _text_object(line, where)
     op = obj.get("op")
     if op == "v":
-        xyz = obj.get("x"), obj.get("y"), obj.get("z")
-        if not all(type(q) is int and 0 <= q < cells for q in xyz):  # bool is no coordinate
-            raise FormatError(
-                f"vertex on {where} needs integer x, y, z in [0, {cells}), got {xyz}"
-            )
-        return answer_vertex(QuantizedVertex(*xyz))
+        return answer_vertex(_parse_vertex(obj, where, cells))
     if op == "stop":
         return ANSWER_STOP
     if op == "eos":

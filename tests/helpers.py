@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's fast paths: components via
 union-find over shared edges, validation via a standalone directed-edge scan,
 step records via the index-based traversal that ``encode`` runs, without the
 decoder's position-keyed machine,
-normal consistency via scalar all-pairs loops, and point-to-triangle distance
-via dense sampling on a barycentric lattice.
+normal consistency via scalar all-pairs loops, point-to-triangle distance
+via dense sampling on a barycentric lattice, and nearest faces via a search
+over every (point, face) pair.
 """
 
 from __future__ import annotations
@@ -131,9 +132,10 @@ def union_find_components(mesh: QuantizedMesh) -> list[frozenset[int]]:
     return [frozenset(g) for g in groups.values()]
 
 
-def brute_force_normal_consistency(src: MeshReal, ref: MeshReal) -> tuple[float, float]:
-    """All-pairs scalar oracle for normal consistency, built before (and kept
-    independent of) the vectorized closest-face path."""
+def brute_force_similarities(src: MeshReal, ref: MeshReal) -> tuple[list[float], list[float]]:
+    """All-pairs scalar oracle for the normal cosines of both directions
+    (src faces against their nearest ref face, then the reverse), built
+    before (and kept independent of) the vectorized closest-face path."""
 
     def face_geometry(mesh: MeshReal):
         triangles, normals, centroids = [], [], []
@@ -161,8 +163,12 @@ def brute_force_normal_consistency(src: MeshReal, ref: MeshReal) -> tuple[float,
 
     src_geo = face_geometry(src)
     ref_geo = face_geometry(ref)
-    sims_sr = direction(src_geo, ref_geo)
-    sims_rs = direction(ref_geo, src_geo)
+    return direction(src_geo, ref_geo), direction(ref_geo, src_geo)
+
+
+def brute_force_normal_consistency(src: MeshReal, ref: MeshReal) -> tuple[float, float]:
+    """(nc, abs_nc) from the scalar all-pairs cosines."""
+    sims_sr, sims_rs = brute_force_similarities(src, ref)
     nc = 0.5 * float(np.mean(sims_sr)) + 0.5 * float(np.mean(sims_rs))
     abs_nc = 0.5 * float(np.mean(np.abs(sims_sr))) + 0.5 * float(np.mean(np.abs(sims_rs)))
     return nc, abs_nc
@@ -197,3 +203,86 @@ def random_triangle_soup(rng: np.random.Generator, n_verts: int, n_faces: int) -
             continue
         faces.append((a, b, c))
     return MeshReal(verts, np.asarray(faces))
+
+
+# The dense nearest-face search that ``metrics.closest_faces`` replaced: every
+# (point, face) pair, chunked. The pruned search must return the same faces
+# and the same distances.
+
+TIE_EPS = 1e-12
+
+
+def dense_closest_triangles_chunk(
+    p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized closest-point distances from points (n,3) to triangles
+    (m,3); returns per-point (min distance, argmin index)."""
+    ab = b - a
+    ac = c - a
+    ap = p[:, None, :] - a[None, :, :]
+    bp = p[:, None, :] - b[None, :, :]
+    cp = p[:, None, :] - c[None, :, :]
+    d1 = np.einsum("mk,nmk->nm", ab, ap)
+    d2 = np.einsum("mk,nmk->nm", ac, ap)
+    d3 = np.einsum("mk,nmk->nm", ab, bp)
+    d4 = np.einsum("mk,nmk->nm", ac, bp)
+    d5 = np.einsum("mk,nmk->nm", ab, cp)
+    d6 = np.einsum("mk,nmk->nm", ac, cp)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    r1 = (d1 <= 0.0) & (d2 <= 0.0)
+    taken = r1.copy()
+    r2 = ~taken & (d3 >= 0.0) & (d4 <= d3)
+    taken |= r2
+    r3 = ~taken & (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0)
+    taken |= r3
+    r4 = ~taken & (d6 >= 0.0) & (d5 <= d6)
+    taken |= r4
+    r5 = ~taken & (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0)
+    taken |= r5
+    r6 = ~taken & (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)
+    taken |= r6
+    r0 = ~taken
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t3 = np.where(r3, d1 / np.where(d1 - d3 != 0.0, d1 - d3, 1.0), 0.0)
+        t5 = np.where(r5, d2 / np.where(d2 - d6 != 0.0, d2 - d6, 1.0), 0.0)
+        den6 = (d4 - d3) + (d5 - d6)
+        t6 = np.where(r6, (d4 - d3) / np.where(den6 != 0.0, den6, 1.0), 0.0)
+        den0 = va + vb + vc
+        safe0 = np.where(den0 != 0.0, den0, 1.0)
+        v0 = np.where(r0, vb / safe0, 0.0)
+        w0 = np.where(r0, vc / safe0, 0.0)
+
+    closest = a[None, :, :] + v0[..., None] * ab[None, :, :] + w0[..., None] * ac[None, :, :]
+    closest = np.where(r6[..., None], b[None, :, :] + t6[..., None] * (c - b)[None, :, :], closest)
+    closest = np.where(r5[..., None], a[None, :, :] + t5[..., None] * ac[None, :, :], closest)
+    closest = np.where(r4[..., None], np.broadcast_to(c[None, :, :], closest.shape), closest)
+    closest = np.where(r3[..., None], a[None, :, :] + t3[..., None] * ab[None, :, :], closest)
+    closest = np.where(r2[..., None], np.broadcast_to(b[None, :, :], closest.shape), closest)
+    closest = np.where(r1[..., None], np.broadcast_to(a[None, :, :], closest.shape), closest)
+
+    dist = np.linalg.norm(p[:, None, :] - closest, axis=2)
+    # Ties (coincident faces, shared closest edges) go to the lowest face
+    # index; the window absorbs accumulation-order noise between equally
+    # distant faces.
+    dmin = dist.min(axis=1)
+    idx = np.argmax(dist <= (dmin + TIE_EPS)[:, None], axis=1)
+    return dist[np.arange(len(p)), idx], idx
+
+
+def dense_closest_faces(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closest triangle per query point; chunked to bound memory, argmin ties
+    resolve to the lowest face index."""
+    n, m = len(points), len(a)
+    dists = np.empty(n, dtype=np.float64)
+    idxs = np.empty(n, dtype=np.int64)
+    chunk = max(1, int(1_000_000 // max(m, 1)))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        d, i = dense_closest_triangles_chunk(points[lo:hi], a, b, c)
+        dists[lo:hi] = d
+        idxs[lo:hi] = i
+    return dists, idxs

@@ -206,6 +206,7 @@ def test_metrics_json(tmp_path, tetra_obj, capsys):
 
     report = json.loads(capsys.readouterr().out)
     assert report["cd"] == 0.0 and report["nc"] == 1.0 and report["samples"] == 200
+    assert report["flipped"] == 0.0
 
 
 def test_sample_pc_formats(tmp_path, tetra_obj):

@@ -338,6 +338,39 @@ class TestPipeProtocol:
         with pytest.raises(FormatError, match="answer line"):
             answer_from_json(line)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1]",
+            '{"step":1,"kind":"sos",',
+            '{"step":1,"kind":"face","component":0,"stack_depth":0}',
+            '{"kind":"edge"}',
+            '{"step":1.9,"kind":"sos","component":true,"stack_depth":0}',
+            '{"step":-1,"kind":"sos","component":0,"stack_depth":0}',
+            '{"step":1,"kind":"sos2","component":0,"stack_depth":0}',
+            '{"step":1,"kind":"sos2","component":0,"stack_depth":0,"v1":[1,2,3]}',
+            '{"step":2,"kind":"edge","component":0,"stack_depth":1,'
+            '"a":{"z":1,"y":2,"x":3},"b":{"z":1,"y":2.5,"x":3}}',
+            '{"step":2,"kind":"edge","component":0,"stack_depth":1,'
+            '"a":{"z":1,"y":2,"x":3},"b":{"z":1,"y":2,"x":true}}',
+        ],
+        ids=[
+            "not_an_object",
+            "bad_json",
+            "unknown_kind",
+            "missing_fields",
+            "fractional_and_bool_counts",
+            "negative_step",
+            "missing_v1",
+            "v1_not_an_object",
+            "fractional_coordinate",
+            "bool_coordinate",
+        ],
+    )
+    def test_malformed_query_is_a_format_error(self, line):
+        with pytest.raises(FormatError, match="query line"):
+            query_from_json(line)
+
     def test_answer_json_roundtrips(self):
         for answer in (answer_vertex(QuantizedVertex(1, 2, 3)), ANSWER_STOP, ANSWER_EOS):
             assert answer_from_json(answer_to_json(answer)) == answer

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meshtok import metrics
 from meshtok.core import MeshReal, dequantize_mesh
 from meshtok.metrics import (
     EmptySurfaceError,
+    _face_geometry,
+    _triangle_corners,
     chamfer,
     closest_faces,
     evaluate,
@@ -14,11 +17,13 @@ from meshtok.metrics import (
     point_to_triangle_distance,
     sample_surface,
 )
-from meshtok.preprocess import quantize
+from meshtok.preprocess import augment, normalize, quantize
 from meshtok.procgen import icosphere, torus
 from helpers import (
     barycentric_lattice,
     brute_force_normal_consistency,
+    brute_force_similarities,
+    dense_closest_faces,
     dense_sample_distance,
     random_triangle_soup,
 )
@@ -147,6 +152,101 @@ class TestPointToTriangle:
             checked += 1
 
 
+def _search_inputs(src: MeshReal, ref: MeshReal):
+    """Query points and triangles as normal consistency builds them: the
+    centroids of src's valid faces, and ref's valid faces."""
+    _, centroids, valid = _face_geometry(src)
+    _, _, valid_ref = _face_geometry(ref)
+    a, b, c = (corner[valid_ref] for corner in _triangle_corners(ref))
+    return centroids[valid], a, b, c
+
+
+def _assert_same_as_dense(points, a, b, c):
+    dists, idxs = closest_faces(points, a, b, c)
+    want_dists, want_idxs = dense_closest_faces(points, a, b, c)
+    assert np.array_equal(idxs, want_idxs)
+    assert np.array_equal(dists, want_dists)
+
+
+def _assert_pairs_same_as_dense(src: MeshReal, ref: MeshReal):
+    for x, y in ((src, ref), (ref, src), (src, src)):
+        _assert_same_as_dense(*_search_inputs(x, y))
+
+
+def _sliver_scene(rng, n_small: int) -> MeshReal:
+    """Small random triangles plus one thin triangle across the whole box,
+    whose centroid-to-vertex reach covers every centroid."""
+    tris = rng.uniform(-0.5, 0.5, size=(n_small, 1, 3)) + rng.normal(scale=0.01, size=(n_small, 3, 3))
+    sliver = np.array([[[-0.5, -0.5, -0.5], [0.5, 0.5, 0.5], [0.5, 0.5, 0.501]]])
+    verts = np.concatenate([tris, sliver]).reshape(-1, 3)
+    return MeshReal(verts, np.arange(len(verts)).reshape(-1, 3))
+
+
+class TestClosestFaces:
+    """The pruned search returns exactly what the dense search over every
+    (point, face) pair returns: the same face indices, ties to the lowest,
+    and bit-identical distances."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), m=st.integers(1, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_random_soups(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        src = random_triangle_soup(rng, max(8, n // 3), n)
+        ref = random_triangle_soup(rng, max(8, m // 3), m)
+        _assert_pairs_same_as_dense(src, ref)
+
+    def test_fixture_corpora(self, corpus7, corpus9):
+        for corpus in (corpus7, corpus9):
+            meshes = [dequantize_mesh(mesh) for _, mesh in corpus]
+            for src, ref in zip(meshes, meshes[1:] + meshes[:1]):
+                _assert_pairs_same_as_dense(src, ref)
+
+    def test_augmented_fixtures(self, corpus7):
+        for seed, (_, mesh) in enumerate(corpus7):
+            real = dequantize_mesh(mesh)
+            moved = dequantize_mesh(quantize(normalize(augment(real, seed=seed)), 7))
+            _assert_pairs_same_as_dense(real, moved)
+
+    def test_coincident_faces_tie_to_the_lowest_index(self):
+        mesh = dequantize_mesh(quantize(torus(8, 6), 7))
+        order = np.random.default_rng(3).permutation(len(mesh.faces))
+        doubled = MeshReal(mesh.vertices, np.concatenate([mesh.faces, mesh.faces[order]]))
+        points, a, b, c = _search_inputs(mesh, doubled)
+        _assert_same_as_dense(points, a, b, c)
+        dists, idxs = closest_faces(points, a, b, c)
+        assert np.array_equal(idxs, np.arange(len(mesh.faces)))
+        assert dists.max() < 1e-12
+
+    def test_small_blocks(self, corpus7, monkeypatch):
+        # A budget below the face count puts every point taking all faces in
+        # a block of its own, and splits the listed points into many blocks.
+        monkeypatch.setattr(metrics, "_PAIR_BUDGET", 40)
+        rng = np.random.default_rng(11)
+        _assert_pairs_same_as_dense(_sliver_scene(rng, 60), random_triangle_soup(rng, 20, 50))
+        meshes = [dequantize_mesh(mesh) for _, mesh in corpus7[4:9]]
+        for src, ref in zip(meshes, meshes[1:]):
+            _assert_pairs_same_as_dense(src, ref)
+
+    def test_box_spanning_sliver(self):
+        rng = np.random.default_rng(5)
+        _assert_pairs_same_as_dense(_sliver_scene(rng, 400), _sliver_scene(rng, 300))
+
+    def test_no_query_points(self):
+        a, b, c = TRI[None, 0], TRI[None, 1], TRI[None, 2]
+        dists, idxs = closest_faces(np.zeros((0, 3)), a, b, c)
+        assert dists.shape == idxs.shape == (0,)
+        assert dists.dtype == np.float64 and idxs.dtype == np.int64
+
+    def test_single_reference_face(self):
+        pts = np.random.default_rng(8).uniform(-2, 2, size=(50, 3))
+        a, b, c = TRI[None, 0], TRI[None, 1], TRI[None, 2]
+        _assert_same_as_dense(pts, a, b, c)
+        dists, idxs = closest_faces(pts, a, b, c)
+        assert (idxs == 0).all()
+        for p, d in zip(pts, dists):
+            assert point_to_triangle_distance(p, TRI) == pytest.approx(d, abs=1e-12)
+
+
 class TestNormalConsistency:
     def test_self_is_exactly_one(self):
         for mesh in (dequantize_mesh(quantize(icosphere(1), 7)),
@@ -206,4 +306,20 @@ class TestEvaluate:
         assert report.cd == 0.0
         assert report.nc == pytest.approx(1.0, abs=1e-12)
         assert report.abs_nc == pytest.approx(1.0, abs=1e-12)
+        assert report.flipped == 0.0
         assert report.samples == 2000 and report.seed == 11
+
+    def test_flipped_winding_flips_every_face(self):
+        mesh = dequantize_mesh(quantize(icosphere(1), 7))
+        flipped = MeshReal(mesh.vertices.copy(), mesh.faces[:, [0, 2, 1]].copy())
+        assert evaluate(mesh, flipped, samples=100).flipped == 1.0
+
+    def test_flipped_matches_brute_force_count(self):
+        src = dequantize_mesh(quantize(torus(8, 6), 7))
+        ref = dequantize_mesh(quantize(torus(10, 5), 7))
+        ref.faces[::3] = ref.faces[::3, [0, 2, 1]]
+        sims_sr, sims_rs = brute_force_similarities(src, ref)
+        negative = sum(s < 0.0 for s in sims_sr + sims_rs)
+        assert 0 < negative < len(sims_sr) + len(sims_rs)
+        report = evaluate(src, ref, samples=100)
+        assert report.flipped == negative / (len(sims_sr) + len(sims_rs))

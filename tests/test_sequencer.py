@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import time
 from collections import Counter
 
 import pytest
@@ -119,6 +121,25 @@ class TestTetrahedronTrace:
         assert st.n_traversal_records == 10
 
 
+def _tetrahedra(count: int, seed: int) -> QuantizedMesh:
+    """``count`` disjoint tetrahedra at random 9-bit positions, faces shuffled;
+    every third one repeats the positions of the one before it under new
+    vertex indices, so start-vertex ties fall to the index."""
+    rng = random.Random(seed)
+    verts: list[QuantizedVertex] = []
+    faces: list[Face] = []
+    for i in range(count):
+        if i % 3 != 2:
+            x, y, z = (rng.randrange(0, 500) for _ in range(3))
+        n = len(verts)
+        verts += [QuantizedVertex(x, y, z), QuantizedVertex(x + 9, y, z),
+                  QuantizedVertex(x, y + 9, z), QuantizedVertex(x, y, z + 9)]
+        faces += [Face(n, n + 2, n + 1), Face(n, n + 1, n + 3),
+                  Face(n, n + 3, n + 2), Face(n + 1, n + 2, n + 3)]
+    rng.shuffle(faces)
+    return QuantizedMesh(verts, faces, 9)
+
+
 class TestStartRule:
     def test_lowest_destination_breaks_origin_tie(self):
         verts = [
@@ -141,6 +162,27 @@ class TestStartRule:
         mesh = QuantizedMesh(verts, [Face(1, 0, 2)], 7)
         seq = encode(mesh)
         assert seq.records[0].output_vertex == verts[1]
+
+    def test_many_components_match_the_traversal(self):
+        for seed in range(3):
+            mesh = _tetrahedra(40, seed)
+            assert validate_manifold(mesh).ok
+            for order in ("dfs", "bfs"):
+                assert encode(mesh, order).records == reference_records(mesh, order), (seed, order)
+
+    def test_encode_time_is_linear_in_components(self):
+        # Linear start-edge search gives a ratio near 4, a rescan of every
+        # face per component near 16.
+        def best_time(mesh):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                encode(mesh)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        small, large = _tetrahedra(100, 0), _tetrahedra(400, 0)
+        assert best_time(large) / best_time(small) <= 8.0
 
 
 class TestCountingIdentities:
