@@ -29,6 +29,14 @@ class Face(NamedTuple):
     c: int
 
 
+MAX_BITS = 16
+
+
+def valid_bits(bits: int) -> bool:
+    """Whether ``bits`` is a supported grid depth: 1 to ``MAX_BITS``."""
+    return 1 <= bits <= MAX_BITS
+
+
 def height_sort_key(v: QuantizedVertex) -> tuple[int, int, int]:
     """Bottom-up vertex order: lexicographic on (z, y, x), z being height."""
     return (v.z, v.y, v.x)

@@ -15,11 +15,13 @@ import numpy as np
 from scipy import ndimage
 
 from .core import (
+    MAX_BITS,
     Face,
     MeshReal,
     QuantizedMesh,
     QuantizedVertex,
     dequantized_vertex_array,
+    valid_bits,
     validate_manifold,
 )
 
@@ -45,10 +47,19 @@ class PreprocessConfig:
     z_rot_max_degrees: float = 180.0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.bits <= 16:
+        if not valid_bits(self.bits):
             raise ValueError("bits must be in [1, 16]")
         if not 0.0 < self.scale_low <= self.scale_high <= 1.0:
             raise ValueError("scale range must satisfy 0 < low <= high <= 1")
+        # Each test is written so that NaN fails it.
+        if type(self.proj_grid) is not int or self.proj_grid < 1:  # bool is not a grid size
+            raise ValueError(f"proj_grid must be an integer >= 1, got {self.proj_grid!r}")
+        if not 0.0 <= self.proj_min_area <= 1.0:
+            raise ValueError(f"proj_min_area must be in [0, 1], got {self.proj_min_area!r}")
+        if not 0.0 <= self.flip_prob <= 1.0:
+            raise ValueError(f"flip_prob must be in [0, 1], got {self.flip_prob!r}")
+        if not math.isfinite(self.z_rot_max_degrees):
+            raise ValueError(f"z_rot_max_degrees must be finite, got {self.z_rot_max_degrees!r}")
 
 
 @dataclass
@@ -75,8 +86,9 @@ def quantize(mesh: MeshReal, bits: int = 7) -> QuantizedMesh:
     """Snap coordinates to the grid, merge coincident vertices, drop faces
     that become degenerate, and drop repeats of the same unordered vertex set
     (opposite-winding copies count as repeats: keeping both would break the
-    half-edge condition either way)."""
-    if not 1 <= bits <= 16:
+    half-edge condition either way). Merged vertices keep the order in which
+    they are first seen; kept faces keep their input order."""
+    if not valid_bits(bits):
         raise ValueError("bits must be in [1, 16]")
     v = mesh.vertices
     if v.size and not (v.min() >= -0.5 - 1e-9 and v.max() <= 0.5 + 1e-9):  # NaN fails too
@@ -87,56 +99,87 @@ def quantize(mesh: MeshReal, bits: int = 7) -> QuantizedMesh:
     q = np.floor(v * cells).astype(np.int64) + cells // 2  # exact, as in quantize_coord
     np.clip(q, 0, cells - 1, out=q)
 
-    remap: list[int] = []
-    vert_index: dict[QuantizedVertex, int] = {}
-    verts: list[QuantizedVertex] = []
-    for row in q:
-        qv = QuantizedVertex(int(row[0]), int(row[1]), int(row[2]))
-        idx = vert_index.get(qv)
-        if idx is None:
-            idx = len(verts)
-            vert_index[qv] = idx
-            verts.append(qv)
-        remap.append(idx)
+    # Merge vertices in first-seen order: np.unique over one int64 key per
+    # vertex (each cell index fits in MAX_BITS bits), its groups ranked by
+    # first occurrence.
+    key = (q[:, 0] << 2 * MAX_BITS) | (q[:, 1] << MAX_BITS) | q[:, 2]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    verts = list(map(QuantizedVertex, *q[first[by_first]].T.tolist()))
 
-    faces: list[Face] = []
-    seen_sets: set[frozenset[int]] = set()
-    for fa, fb, fc in mesh.faces:
-        a, b, c = remap[fa], remap[fb], remap[fc]
-        if a == b or b == c or a == c:
-            continue
-        key = frozenset((a, b, c))
-        if key in seen_sets:
-            continue
-        seen_sets.add(key)
-        faces.append(Face(a, b, c))
+    tri = rank[inverse][mesh.faces]  # (m, 3) merged vertex indices
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    tri = tri[(a != b) & (b != c) & (a != c)]
+    # Keep the first face of each unordered vertex set, in input order.
+    _, first_face = np.unique(np.sort(tri, axis=1), axis=0, return_index=True)
+    faces = list(map(Face, *tri[np.sort(first_face)].T.tolist()))
     return QuantizedMesh(verts, faces, bits)
+
+
+# Padded pixels (triangles x bbox width x bbox height) rasterized per numpy
+# pass; a triangle whose own bbox is larger gets a pass to itself. Budgets of
+# 2^14 to 2^16 rasterized 5.4k- and 44k-face tori equally fast; 2^14 keeps
+# the least memory live.
+_PIXEL_BUDGET = 1 << 14
 
 
 def _fill_triangles_2d(tri2d: np.ndarray, grid: int) -> np.ndarray:
     """Rasterize filled triangles with coordinates in [-0.5, 0.5] onto a
-    boolean grid; pixel centers on an edge count as inside."""
+    boolean grid; pixel centers on an edge count as inside.
+
+    A pixel center is inside when all three edge functions, signed so the
+    triangle's area is positive, are >= -1e-6. Only centers within the
+    triangle's bbox widened by half a pixel are tested: the tolerance scales
+    with edge length, so a sliver would otherwise claim centers beyond its
+    bbox. Triangles with |area| < 1e-12 (pixel units) draw nothing.
+    Triangles of similar bbox size are rasterized together, padded to the
+    batch's largest bbox; padded centers are NaN, which fails every test.
+    """
     mask = np.zeros((grid, grid), dtype=bool)
     px = (tri2d + 0.5) * grid  # (m, 3, 2) in pixel units
     eps = 1e-6
-    for a, b, c in px:
-        area = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(area) < 1e-12:
+    a, b, c = px[:, 0], px[:, 1], px[:, 2]
+    area = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    lo = np.clip(np.floor(np.minimum(np.minimum(a, b), c) - 0.5).astype(int), 0, grid - 1)
+    hi = np.clip(np.ceil(np.maximum(np.maximum(a, b), c) + 0.5).astype(int), 0, grid)
+    size = hi - lo  # (m, 2) bbox width and height in pixels
+    keep = (np.abs(area) >= 1e-12) & (size[:, 0] > 0) & (size[:, 1] > 0)
+    idx = np.flatnonzero(keep)
+    idx = idx[np.lexsort((size[idx, 1], size[idx, 0]))]
+    # Negating both products of an edge function negates their difference
+    # exactly, so the sign flip for clockwise triangles costs no pixel work.
+    sign = np.where(area < 0, -1.0, 1.0)
+    # Edge i runs from vertex p to q: w_i = (q.x - p.x)(y - p.y) - (q.y - p.y)(x - p.x).
+    edges = ((a, b), (b, c), (c, a))
+    dx = [sign * (q[:, 0] - p[:, 0]) for p, q in edges]
+    dy = [sign * (q[:, 1] - p[:, 1]) for p, q in edges]
+    # Sorted by width, then height, a batch's padded size (count x last width
+    # x running max height) grows with its count, so one searchsorted finds
+    # the longest batch within budget.
+    start = 0
+    while start < len(idx):
+        rows = idx[start : start + _PIXEL_BUDGET]  # a batch holds at most one triangle per pixel
+        width, height = size[rows, 0], np.maximum.accumulate(size[rows, 1])
+        padded = np.arange(1, len(rows) + 1) * width * height
+        n = max(1, int(np.searchsorted(padded, _PIXEL_BUDGET, side="right")))
+        rows = rows[:n]
+        start += n
+        offs_x, offs_y = np.arange(width[n - 1]), np.arange(height[n - 1])
+        gx = np.where(offs_x < size[rows, 0:1], lo[rows, 0:1] + offs_x + 0.5, np.nan)[:, :, None]
+        gy = np.where(offs_y < size[rows, 1:2], lo[rows, 1:2] + offs_y + 0.5, np.nan)[:, None, :]
+        inside = np.ones((n, len(offs_x), len(offs_y)), dtype=bool)
+        for (p, _), ex, ey in zip(edges, dx, dy):
+            ox, oy = p[rows, 0][:, None, None], p[rows, 1][:, None, None]
+            w = ex[rows][:, None, None] * (gy - oy) - ey[rows][:, None, None] * (gx - ox)
+            inside &= w >= -eps
+        if n == 1:  # unpadded: OR the block in place, no index lists
+            (x0, y0), (sx, sy) = lo[rows[0]], size[rows[0]]
+            mask[x0 : x0 + sx, y0 : y0 + sy] |= inside[0]
             continue
-        lo = np.clip(np.floor(np.minimum(np.minimum(a, b), c) - 0.5).astype(int), 0, grid - 1)
-        hi = np.clip(np.ceil(np.maximum(np.maximum(a, b), c) + 0.5).astype(int), 0, grid)
-        xs = np.arange(lo[0], hi[0]) + 0.5
-        ys = np.arange(lo[1], hi[1]) + 0.5
-        if xs.size == 0 or ys.size == 0:
-            continue
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        w0 = (b[0] - a[0]) * (gy - a[1]) - (b[1] - a[1]) * (gx - a[0])
-        w1 = (c[0] - b[0]) * (gy - b[1]) - (c[1] - b[1]) * (gx - b[0])
-        w2 = (a[0] - c[0]) * (gy - c[1]) - (a[1] - c[1]) * (gx - c[0])
-        if area < 0:
-            w0, w1, w2 = -w0, -w1, -w2
-        inside = (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps)
-        mask[lo[0] : hi[0], lo[1] : hi[1]] |= inside
+        t, i, j = np.nonzero(inside)
+        mask[lo[rows[t], 0] + i, lo[rows[t], 1] + j] = True
     return mask
 
 
@@ -149,19 +192,23 @@ def _cluster_count(mask: np.ndarray) -> int:
 def filter_mesh(mesh: QuantizedMesh, cfg: Optional[PreprocessConfig] = None) -> AcceptDecision:
     """Screen a quantized mesh: face budget, half-edge validity, and the three
     orthographic silhouettes (reject a vanishing silhouette or one that falls
-    apart into several clusters)."""
+    apart into several clusters).
+
+    Each silhouette is the union of the faces rasterized on a
+    ``proj_grid`` x ``proj_grid`` mask by ``_fill_triangles_2d``; it must
+    cover at least ``proj_min_area`` of the mask and form one 8-connected
+    cluster."""
     cfg = cfg or PreprocessConfig()
     reasons: list[str] = []
     if len(mesh.faces) > cfg.max_faces:
         reasons.append(f"face_count:{len(mesh.faces)}>{cfg.max_faces}")
     if not validate_manifold(mesh).ok:
         reasons.append("manifold")
-    verts = dequantized_vertex_array(mesh)
-    faces = np.asarray([tuple(f) for f in mesh.faces], dtype=np.int64).reshape(-1, 3)
+    faces = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3)
+    tri3d = dequantized_vertex_array(mesh)[faces]  # (m, 3, 3)
     for axis, name in ((0, "x"), (1, "y"), (2, "z")):
         keep = [i for i in range(3) if i != axis]
-        tri2d = verts[faces][:, :, keep] if len(faces) else np.zeros((0, 3, 2))
-        mask = _fill_triangles_2d(tri2d, cfg.proj_grid)
+        mask = _fill_triangles_2d(tri3d[:, :, keep], cfg.proj_grid)
         frac = float(mask.mean()) if mask.size else 0.0
         if frac < cfg.proj_min_area:
             reasons.append(f"projection_area:{name}")

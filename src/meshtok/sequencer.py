@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .core import QuantizedMesh, QuantizedVertex, ValidationReport, height_sort_key
+from .core import QuantizedMesh, QuantizedVertex, ValidationReport, height_sort_key, valid_bits
 from . import halfedge
 
 # Step input kinds.
@@ -123,7 +123,7 @@ def _walk(seq: TokenSequence) -> tuple[int, int, int]:
     start of a component. The counter does no geometry: a vertex repeating an
     edge endpoint is left for replay to reject.
     """
-    if not 1 <= seq.bits <= 16:
+    if not valid_bits(seq.bits):
         raise MalformedSequenceError(f"bits {seq.bits} outside [1, 16]")
     if seq.order not in (DFS, BFS):
         raise MalformedSequenceError(f"unknown traversal order {seq.order!r}")

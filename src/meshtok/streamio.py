@@ -40,6 +40,7 @@ from .core import (
     QuantizedMesh,
     QuantizedVertex,
     dequantize_coord,
+    valid_bits,
 )
 from .sequencer import (
     ANSWER_EOS,
@@ -194,7 +195,7 @@ def _parse_stream_bytes(data: bytes) -> tuple[int, str, list[PredictorAnswer]]:
     version, bits, flags = data[4], data[5], data[6]
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", 4)
-    if not 1 <= bits <= 16:
+    if not valid_bits(bits):
         raise FormatError(f"bits {bits} outside [1, 16]", 5)
     if flags & ~1:
         raise FormatError(f"reserved flag bits set: {flags:#04x}", 6)
@@ -313,7 +314,7 @@ def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
     if header.get("magic") != "TMTS":
         raise FormatError(f"bad magic in text header on line {header_line}")
     bits = header.get("bits")
-    if type(bits) is not int or not 1 <= bits <= 16:  # bool is not a bit count
+    if type(bits) is not int or not valid_bits(bits):  # bool is not a bit count
         raise FormatError(f"bits {bits!r} on line {header_line} is not an integer in [1, 16]")
     order = header.get("order")
     if order not in (DFS, BFS):

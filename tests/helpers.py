@@ -5,8 +5,9 @@ union-find over shared edges, validation via a standalone directed-edge scan,
 step records via the index-based traversal that ``encode`` runs, without the
 decoder's position-keyed machine,
 normal consistency via scalar all-pairs loops, point-to-triangle distance
-via dense sampling on a barycentric lattice, and nearest faces via a search
-over every (point, face) pair.
+via dense sampling on a barycentric lattice, nearest faces via a search
+over every (point, face) pair, and quantization and silhouette masks via the
+per-vertex and per-triangle loops that the vectorized versions replaced.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from collections import Counter, deque
 
 import numpy as np
 
-from meshtok.core import Face, MeshReal, QuantizedMesh, Violation
+from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex, Violation
 from meshtok.sequencer import EDGE, EOS, SOS, SOS2, STOP, VERTEX, StepRecord
 from meshtok.metrics import point_to_triangle_distance
+from meshtok.preprocess import OutOfRangeError
 
 
 def canonical_faces(mesh: QuantizedMesh) -> Counter:
@@ -286,3 +288,79 @@ def dense_closest_faces(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.
         dists[lo:hi] = d
         idxs[lo:hi] = i
     return dists, idxs
+
+
+# The per-vertex and per-face loops that ``preprocess.quantize`` replaced:
+# the vectorized version must return an equal ``QuantizedMesh``, the same
+# vertices and faces in the same order.
+
+def reference_quantize(mesh: MeshReal, bits: int = 7) -> QuantizedMesh:
+    """Snap coordinates to the grid, merge coincident vertices, drop faces
+    that become degenerate, and drop repeats of the same unordered vertex set
+    (opposite-winding copies count as repeats: keeping both would break the
+    half-edge condition either way)."""
+    if not 1 <= bits <= 16:
+        raise ValueError("bits must be in [1, 16]")
+    v = mesh.vertices
+    if v.size and not (v.min() >= -0.5 - 1e-9 and v.max() <= 0.5 + 1e-9):  # NaN fails too
+        raise OutOfRangeError(
+            f"coordinates span [{v.min():.6g}, {v.max():.6g}], expected [-0.5, 0.5]"
+        )
+    cells = 1 << bits
+    q = np.floor(v * cells).astype(np.int64) + cells // 2  # exact, as in quantize_coord
+    np.clip(q, 0, cells - 1, out=q)
+
+    remap: list[int] = []
+    vert_index: dict[QuantizedVertex, int] = {}
+    verts: list[QuantizedVertex] = []
+    for row in q:
+        qv = QuantizedVertex(int(row[0]), int(row[1]), int(row[2]))
+        idx = vert_index.get(qv)
+        if idx is None:
+            idx = len(verts)
+            vert_index[qv] = idx
+            verts.append(qv)
+        remap.append(idx)
+
+    faces: list[Face] = []
+    seen_sets: set[frozenset[int]] = set()
+    for fa, fb, fc in mesh.faces:
+        a, b, c = remap[fa], remap[fb], remap[fc]
+        if a == b or b == c or a == c:
+            continue
+        key = frozenset((a, b, c))
+        if key in seen_sets:
+            continue
+        seen_sets.add(key)
+        faces.append(Face(a, b, c))
+    return QuantizedMesh(verts, faces, bits)
+
+
+# The per-triangle rasterizer that ``preprocess._fill_triangles_2d`` replaced:
+# the batched version must return the same mask.
+
+def reference_fill_triangles_2d(tri2d: np.ndarray, grid: int) -> np.ndarray:
+    """Rasterize filled triangles with coordinates in [-0.5, 0.5] onto a
+    boolean grid; pixel centers on an edge count as inside."""
+    mask = np.zeros((grid, grid), dtype=bool)
+    px = (tri2d + 0.5) * grid  # (m, 3, 2) in pixel units
+    eps = 1e-6
+    for a, b, c in px:
+        area = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if abs(area) < 1e-12:
+            continue
+        lo = np.clip(np.floor(np.minimum(np.minimum(a, b), c) - 0.5).astype(int), 0, grid - 1)
+        hi = np.clip(np.ceil(np.maximum(np.maximum(a, b), c) + 0.5).astype(int), 0, grid)
+        xs = np.arange(lo[0], hi[0]) + 0.5
+        ys = np.arange(lo[1], hi[1]) + 0.5
+        if xs.size == 0 or ys.size == 0:
+            continue
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        w0 = (b[0] - a[0]) * (gy - a[1]) - (b[1] - a[1]) * (gx - a[0])
+        w1 = (c[0] - b[0]) * (gy - b[1]) - (c[1] - b[1]) * (gx - b[0])
+        w2 = (a[0] - c[0]) * (gy - c[1]) - (a[1] - c[1]) * (gx - c[0])
+        if area < 0:
+            w0, w1, w2 = -w0, -w1, -w2
+        inside = (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps)
+        mask[lo[0] : hi[0], lo[1] : hi[1]] |= inside
+    return mask

@@ -181,6 +181,25 @@ def test_preprocess_rejects_multi_cluster_scene(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, option, value, field",
+    [
+        ("augment", "--z-rot-max", "inf", "z_rot_max_degrees"),
+        ("augment", "--flip-prob", "nan", "flip_prob"),
+        ("augment", "--flip-prob", "1.5", "flip_prob"),
+        ("preprocess", "--proj-min-area", "nan", "proj_min_area"),
+        ("preprocess", "--proj-grid", "0", "proj_grid"),
+        ("preprocess", "--proj-grid", "-3", "proj_grid"),
+    ],
+)
+def test_bad_preprocess_config_is_a_usage_error(tmp_path, tetra_obj, capsys, command, option, value, field):
+    out = tmp_path / "out.obj"
+    argv = [command, str(tetra_obj), "-o", str(out), option, value]
+    assert main(argv + (["--seed", "1"] if command == "augment" else [])) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preprocess_rejects_face_budget(tmp_path, capsys):
     raw = tmp_path / "raw.obj"
     write_obj(quantize(torus(12, 8), 7), raw)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshtok.core import MeshReal, QuantizedMesh, dequantize_mesh
+from meshtok import preprocess
+from meshtok.core import MeshReal, QuantizedMesh, dequantize_mesh, dequantized_vertex_array
 from meshtok.preprocess import (
     DegenerateExtentError,
     OutOfRangeError,
@@ -15,7 +16,8 @@ from meshtok.preprocess import (
     quantize,
     run_preprocess,
 )
-from meshtok.procgen import grid_patch, tetrahedron, torus, two_component_scene
+from meshtok.procgen import cube, grid_patch, tetrahedron, torus, two_component_scene
+from helpers import reference_fill_triangles_2d, reference_quantize, winding_flipped
 
 TRI = np.array([[0, 1, 2]])
 
@@ -115,6 +117,97 @@ class TestQuantize:
             assert max(f) < len(out.vertices)
         for v in out.vertices:
             assert all(0 <= q < (1 << bits) for q in v)
+
+    @given(
+        n_points=st.integers(1, 30),
+        n_faces=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+        bits=st.sampled_from([1, 3, 7, 9, 16]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_reference_loop(self, n_points, n_faces, seed, bits):
+        """Unwelded meshes (every face lists its own corners) with repeated
+        and opposite-winding faces and corners that share grid cells."""
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-0.5, 0.5, size=(n_points, 3))
+        points[rng.random(n_points) < 0.3] = points[0]  # coincident corners
+        faces = rng.integers(0, n_points, size=(n_faces, 3))
+        repeats = faces[rng.random(n_faces) < 0.3]
+        flipped = faces[rng.random(n_faces) < 0.3][:, ::-1]
+        faces = np.concatenate([faces, repeats, flipped])
+        faces = faces[rng.permutation(len(faces))]
+        mesh = MeshReal(points[faces.reshape(-1)], np.arange(faces.size).reshape(-1, 3))
+        out = quantize(mesh, bits)
+        assert out == reference_quantize(mesh, bits)
+        assert all(type(i) is int for f in out.faces for i in f)
+        assert all(type(q) is int for v in out.vertices for q in v)
+
+
+def _soup(rng: np.random.Generator, kind: int, m: int) -> np.ndarray:
+    """(m, 3, 2) triangles: partly off the grid, 1e-3-scale, 1e-7 slivers,
+    or with vertices on the half-pixel lattice of some grid."""
+    if kind == 0:
+        return rng.uniform(-0.7, 0.7, size=(m, 3, 2))
+    if kind == 1:
+        return rng.uniform(-0.5, 0.5, size=(m, 1, 2)) + rng.normal(scale=1e-3, size=(m, 3, 2))
+    if kind == 2:
+        start = rng.uniform(-0.5, 0.5, size=(m, 1, 2))
+        along = rng.uniform(-0.5, 0.5, size=(m, 1, 2)) * rng.uniform(0, 1, size=(m, 3, 1))
+        return start + along + rng.normal(scale=1e-7, size=(m, 3, 2))
+    grid = int(rng.choice([7, 64, 256]))
+    return rng.integers(0, 2 * grid + 1, size=(m, 3, 2)) / (2 * grid) - 0.5
+
+
+class TestFillTriangles:
+    """The batched rasterizer against the per-triangle loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_masks_equal_reference(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        tri = _soup(rng, seed % 4, int(rng.integers(1, 48)))
+        for grid in (1, 7, 64, 256):
+            budget = int(rng.choice([1, rng.integers(1, 5001), 1 << 16]))
+            monkeypatch.setattr(preprocess, "_PIXEL_BUDGET", budget)
+            got = preprocess._fill_triangles_2d(tri, grid)
+            assert np.array_equal(got, reference_fill_triangles_2d(tri, grid)), (grid, budget)
+
+    @pytest.mark.parametrize(
+        "tri",
+        [
+            np.zeros((0, 3, 2)),
+            np.zeros((5, 3, 2)),  # every triangle a point
+            np.array([[[-0.4, -0.4], [0.0, 0.0], [0.4, 0.4]]] * 3),  # collinear
+            np.full((2, 3, 2), -0.9) + [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]],  # off the grid
+        ],
+        ids=["none", "points", "collinear", "off_grid"],
+    )
+    def test_nothing_to_draw(self, tri):
+        for grid in (1, 64):
+            got = preprocess._fill_triangles_2d(tri, grid)
+            assert got.shape == (grid, grid) and not got.any()
+            assert np.array_equal(got, reference_fill_triangles_2d(tri, grid))
+
+    def test_filter_decisions_and_masks_equal_reference(self, corpus7, corpus9, monkeypatch):
+        cases = [("cube", quantize(normalize(cube()), 7))]
+        for corpus in (corpus7, corpus9):
+            for k, (name, mesh) in enumerate(corpus):
+                moved = augment(dequantize_mesh(mesh), seed=k)
+                cases += [
+                    (name, mesh),
+                    (name + "/flipped", winding_flipped(mesh)),
+                    (name + "/augmented", quantize(normalize(moved), mesh.bits)),
+                ]
+        got = [filter_mesh(mesh) for _, mesh in cases]
+        batched = preprocess._fill_triangles_2d
+
+        def reference_checking_batched(tri2d, grid):
+            mask = reference_fill_triangles_2d(tri2d, grid)
+            assert np.array_equal(batched(tri2d, grid), mask)
+            return mask
+
+        monkeypatch.setattr(preprocess, "_fill_triangles_2d", reference_checking_batched)
+        for (name, mesh), decision in zip(cases, got):
+            assert decision == filter_mesh(mesh), name
 
 
 class TestFilter:
@@ -226,8 +319,32 @@ class TestConfigValidation:
             {"scale_low": 0.0},
             {"scale_low": 0.9, "scale_high": 0.8},
             {"scale_high": 1.2},
+            {"proj_grid": 0},
+            {"proj_grid": -3},
+            {"proj_grid": 2.5},
+            {"proj_grid": True},
+            {"proj_min_area": float("nan")},
+            {"proj_min_area": float("inf")},
+            {"proj_min_area": -0.1},
+            {"proj_min_area": 1.5},
+            {"flip_prob": float("nan")},
+            {"flip_prob": -0.1},
+            {"flip_prob": 1.5},
+            {"z_rot_max_degrees": float("inf")},
+            {"z_rot_max_degrees": float("-inf")},
+            {"z_rot_max_degrees": float("nan")},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PreprocessConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"proj_grid": 1, "proj_min_area": 0.0, "flip_prob": 0.0},
+            {"proj_min_area": 1.0, "flip_prob": 1.0, "z_rot_max_degrees": -720.0},
+        ],
+    )
+    def test_boundary_configs_accepted(self, kwargs):
+        PreprocessConfig(**kwargs)
