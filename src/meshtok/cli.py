@@ -10,6 +10,7 @@ inside [-0.5, 0.5]; run ``preprocess`` first for raw inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -277,8 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves a parser unchanged, so every ``main`` call in a process
+# reuses the one parser it builds.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (

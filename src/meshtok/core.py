@@ -37,6 +37,12 @@ def valid_bits(bits: int) -> bool:
     return 1 <= bits <= MAX_BITS
 
 
+def require_valid_bits(bits: int) -> None:
+    """Raise ValueError unless ``valid_bits(bits)``."""
+    if not valid_bits(bits):
+        raise ValueError(f"bits must be in [1, {MAX_BITS}]")
+
+
 def height_sort_key(v: QuantizedVertex) -> tuple[int, int, int]:
     """Bottom-up vertex order: lexicographic on (z, y, x), z being height."""
     return (v.z, v.y, v.x)

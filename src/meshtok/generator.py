@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, TextIO
 
-from .core import Face, QuantizedMesh, QuantizedVertex
+from .core import Face, QuantizedMesh, QuantizedVertex, require_valid_bits
 from .sequencer import (
     ANSWER_EOS,
     ANSWER_STOP,
@@ -94,6 +94,7 @@ class _Machine:
     def __init__(self, bits: int, order: str, duplicate_check: bool, coerce_degenerate: bool):
         if order not in (DFS, BFS):
             raise ValueError(f"unknown traversal order: {order!r}")
+        require_valid_bits(bits)
         self.bits = bits
         self.order = order
         self.duplicate_check = duplicate_check
@@ -260,6 +261,7 @@ def fuzz_predictor(seed: int, bits: int = 7) -> Predictor:
     runs terminate well inside usual budgets; EOS ends the mesh with
     probability 1/4 at each component boundary.
     """
+    require_valid_bits(bits)
     rng = random.Random(seed)
     cells = 1 << bits
 

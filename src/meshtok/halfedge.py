@@ -34,9 +34,6 @@ class HalfEdgeConnectivity:
         """Handle of the half-edge origin->dest, or None if no face contains it."""
         return self._by_edge.get((origin, dest))
 
-    def twin_of(self, h: int) -> Optional[int]:
-        return self._by_edge.get((self.dest[h], self.origin[h]))
-
     def opposite_vertex(self, h: int) -> int:
         """Third vertex of the face containing h: origin of next(next(h))."""
         return self.origin[self.next_of(self.next_of(h))]

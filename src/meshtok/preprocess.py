@@ -21,7 +21,7 @@ from .core import (
     QuantizedMesh,
     QuantizedVertex,
     dequantized_vertex_array,
-    valid_bits,
+    require_valid_bits,
     validate_manifold,
 )
 
@@ -47,8 +47,7 @@ class PreprocessConfig:
     z_rot_max_degrees: float = 180.0
 
     def __post_init__(self) -> None:
-        if not valid_bits(self.bits):
-            raise ValueError("bits must be in [1, 16]")
+        require_valid_bits(self.bits)
         if not 0.0 < self.scale_low <= self.scale_high <= 1.0:
             raise ValueError("scale range must satisfy 0 < low <= high <= 1")
         # Each test is written so that NaN fails it.
@@ -88,8 +87,7 @@ def quantize(mesh: MeshReal, bits: int = 7) -> QuantizedMesh:
     (opposite-winding copies count as repeats: keeping both would break the
     half-edge condition either way). Merged vertices keep the order in which
     they are first seen; kept faces keep their input order."""
-    if not valid_bits(bits):
-        raise ValueError("bits must be in [1, 16]")
+    require_valid_bits(bits)
     v = mesh.vertices
     if v.size and not (v.min() >= -0.5 - 1e-9 and v.max() <= 0.5 + 1e-9):  # NaN fails too
         raise OutOfRangeError(

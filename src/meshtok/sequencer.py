@@ -120,8 +120,10 @@ def _walk(seq: TokenSequence) -> tuple[int, int, int]:
     a VERTEX, then one output per pending edge, where VERTEX adds one pending
     edge (pop one, push two) and STOP removes one; the component ends when no
     edge is pending. The sequence ends in exactly one EOS, answering the
-    start of a component. The counter does no geometry: a vertex repeating an
-    edge endpoint is left for replay to reject.
+    start of a component. Each distinct vertex is checked against the grid
+    once, at its first record; errors name the first bad record. The counter
+    does no geometry: a vertex repeating an edge endpoint is left for replay
+    to reject.
     """
     if not valid_bits(seq.bits):
         raise MalformedSequenceError(f"bits {seq.bits} outside [1, 16]")
@@ -132,16 +134,19 @@ def _walk(seq: TokenSequence) -> tuple[int, int, int]:
     if not seq.outputs:
         raise MalformedSequenceError("empty sequence")
     cells = 1 << seq.bits
+    on_grid: set[QuantizedVertex] = set()
     mode = SOS
     pending = faces = components = stops = 0
     for i, (kind, v) in enumerate(seq.outputs):
         if mode == EOS:
             raise MalformedSequenceError(f"record {i} after terminal EOS")
         if kind == VERTEX:
-            if v is None or not all(0 <= q < cells for q in v):
-                raise MalformedSequenceError(
-                    f"record {i}: vertex {v} is not on the {seq.bits}-bit grid"
-                )
+            if v not in on_grid:
+                if v is None or not _on_grid(v, cells):
+                    raise MalformedSequenceError(
+                        f"record {i}: vertex {v} is not on the {seq.bits}-bit grid"
+                    )
+                on_grid.add(v)
             if mode == EDGE:
                 faces += 1
                 pending += 1
@@ -165,6 +170,11 @@ def _walk(seq: TokenSequence) -> tuple[int, int, int]:
     if mode != EOS:
         raise MalformedSequenceError("missing terminal EOS")
     return faces, components, stops
+
+
+def _on_grid(v: QuantizedVertex, cells: int) -> bool:
+    x, y, z = v
+    return 0 <= x < cells and 0 <= y < cells and 0 <= z < cells
 
 
 def check_well_formed(seq: TokenSequence) -> None:

@@ -22,12 +22,20 @@ Token stream (text): one JSON object per line, same information as binary.
 Both forms convert losslessly into each other. The pipe protocol for
 external predictors (``generator.PipePredictor``) answers with the same
 records.
+
+A mesh repeats few distinct records: each vertex appears once as a VERTEX
+output, and a grid has few distinct coordinates. So the stream parsers parse
+each distinct text line, or each distinct 6 coordinate bytes, once and look
+their repeats up; ``dumps_text_stream`` formats each distinct answer once, and
+``write_obj`` each distinct grid coordinate and face index. ``read_obj``
+streams the file line by line into flat lists and checks finiteness and the
+index range once, on the whole lists. Every error still names the first bad
+line or record, exactly as a record-by-record reader would.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 from pathlib import Path
 from typing import Union
@@ -35,7 +43,6 @@ from typing import Union
 import numpy as np
 
 from .core import (
-    Face,
     MeshReal,
     QuantizedMesh,
     QuantizedVertex,
@@ -47,7 +54,6 @@ from .sequencer import (
     ANSWER_STOP,
     BFS,
     DFS,
-    EOS,
     STOP,
     VERTEX,
     PredictorAnswer,
@@ -86,61 +92,129 @@ class EmptyMeshError(ValueError):
     pass
 
 
+class _Once(dict):
+    """``table[key]`` is ``make(key)``, computed on the first lookup of each
+    distinct key only."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 # --- Wavefront OBJ -----------------------------------------------------------
 
 
 def read_obj(path: Union[str, Path], fan_triangulate: bool = True) -> MeshReal:
     """Parse `v` and `f` lines (1-based indices, `a/b/c` references allowed);
-    everything else is ignored. Polygons are fan-triangulated unless disabled."""
-    verts: list[tuple[float, float, float]] = []
-    faces: list[tuple[int, int, int]] = []
-    face_lines: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            kw = parts[0]
-            if kw == "v":
-                if len(parts) < 4:
-                    raise ObjParseError("vertex needs three coordinates", lineno)
-                try:
-                    xyz = (float(parts[1]), float(parts[2]), float(parts[3]))
-                except ValueError:
-                    raise ObjParseError("bad vertex coordinate", lineno) from None
-                if not all(map(math.isfinite, xyz)):
-                    raise ObjParseError("non-finite vertex coordinate", lineno)
-                verts.append(xyz)
-            elif kw == "f":
-                idx: list[int] = []
-                for token in parts[1:]:
-                    head = token.split("/")[0]
+    everything else is ignored. Polygons are fan-triangulated unless disabled.
+
+    The file is read line by line into flat lists of coordinates and 1-based
+    indices. Lines of three or four plain indices take a fast path; anything
+    else is parsed token by token. Finiteness and the index range are checked
+    once, on the whole lists, and the ObjParseError raised is always the one
+    for the first bad line in file order: a bad coordinate, a non-finite
+    coordinate or a zero or negative index wherever it is, then a face that
+    references a missing vertex.
+    """
+    coords: list[float] = []
+    vert_lines: list[int] = []  # line of each vertex
+    corners: list[int] = []  # 1-based indices, three per triangle
+    face_lines: list[int] = []  # line of each triangle
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                parts = raw.split()
+                if not parts:
+                    continue
+                kw = parts[0]
+                if kw == "v":
+                    if len(parts) < 4:
+                        raise ObjParseError("vertex needs three coordinates", lineno)
                     try:
-                        value = int(head)
+                        x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
                     except ValueError:
-                        raise ObjParseError(f"bad face index {head!r}", lineno) from None
-                    if value < 0:
-                        raise ObjParseError("negative indices are not supported", lineno)
-                    if value == 0:
-                        raise ObjParseError("face indices are 1-based", lineno)
-                    idx.append(value - 1)
-                if len(idx) < 3:
-                    raise ObjParseError("face needs at least three vertices", lineno)
-                if len(idx) > 3 and not fan_triangulate:
-                    raise NonTriangleError(
-                        f"{len(idx)}-gon with fan triangulation disabled", lineno
-                    )
-                for k in range(1, len(idx) - 1):
-                    faces.append((idx[0], idx[k], idx[k + 1]))
-                    face_lines.append(lineno)
-    for (fa, fb, fc), lineno in zip(faces, face_lines):
-        if max(fa, fb, fc) >= len(verts):
-            raise ObjParseError("face references a missing vertex", lineno)
-    return MeshReal(
-        np.asarray(verts, dtype=np.float64).reshape(-1, 3),
-        np.asarray(faces, dtype=np.int64).reshape(-1, 3),
-    )
+                        raise ObjParseError("bad vertex coordinate", lineno) from None
+                    coords += (x, y, z)
+                    vert_lines.append(lineno)
+                elif kw == "f":
+                    n = len(parts)
+                    if (n == 4 or n == 5 and fan_triangulate) and "/" not in raw:
+                        try:
+                            if n == 4:
+                                a, b, c = int(parts[1]), int(parts[2]), int(parts[3])
+                                corners += (a, b, c)
+                                face_lines.append(lineno)
+                            else:
+                                a, b, c, d = map(int, parts[1:])
+                                corners += (a, b, c, a, c, d)
+                                face_lines += (lineno, lineno)
+                            continue
+                        except ValueError:
+                            pass  # the token-by-token parse names the bad token
+                    idx = _face_indices(parts, lineno, fan_triangulate)
+                    for k in range(1, len(idx) - 1):
+                        corners += (idx[0], idx[k], idx[k + 1])
+                        face_lines.append(lineno)
+    except (ObjParseError, UnicodeDecodeError):
+        # Every line read so far precedes the failing one.
+        error = _first_deferred_error(np.array(coords), vert_lines, corners, face_lines)
+        if error is None:
+            raise
+        raise error from None
+    xyz = np.array(coords, dtype=np.float64)
+    error = _first_deferred_error(xyz, vert_lines, corners, face_lines)
+    if error is not None:
+        raise error
+    if corners and max(corners) > len(vert_lines):
+        first = next(i for i, q in enumerate(corners) if q > len(vert_lines))
+        raise ObjParseError("face references a missing vertex", face_lines[first // 3])
+    return MeshReal(xyz.reshape(-1, 3), (np.array(corners, dtype=np.int64) - 1).reshape(-1, 3))
+
+
+def _face_indices(parts: list[str], lineno: int, fan_triangulate: bool) -> list[int]:
+    """The 1-based indices of one `f` line, checked token by token."""
+    idx: list[int] = []
+    for token in parts[1:]:
+        head = token.split("/")[0]
+        try:
+            value = int(head)
+        except ValueError:
+            raise ObjParseError(f"bad face index {head!r}", lineno) from None
+        if value < 0:
+            raise ObjParseError("negative indices are not supported", lineno)
+        if value == 0:
+            raise ObjParseError("face indices are 1-based", lineno)
+        idx.append(value)
+    if len(idx) < 3:
+        raise ObjParseError("face needs at least three vertices", lineno)
+    if len(idx) > 3 and not fan_triangulate:
+        raise NonTriangleError(f"{len(idx)}-gon with fan triangulation disabled", lineno)
+    return idx
+
+
+def _first_deferred_error(
+    xyz: np.ndarray, vert_lines: list[int], corners: list[int], face_lines: list[int]
+) -> ObjParseError | None:
+    """The error for the earliest line holding a non-finite coordinate or a
+    face index below 1, or None. Fast-path faces are checked here rather than
+    as they are read; a fan lists a line's indices in their order of first
+    appearance, so its first index below 1 is the line's first such token."""
+    errors = []
+    if not np.isfinite(xyz).all():
+        first = int(np.argmin(np.isfinite(xyz))) // 3
+        errors.append(ObjParseError("non-finite vertex coordinate", vert_lines[first]))
+    if corners and min(corners) < 1:
+        first = next(i for i, q in enumerate(corners) if q < 1)
+        if corners[first] < 0:
+            message = "negative indices are not supported"
+        else:
+            message = "face indices are 1-based"
+        errors.append(ObjParseError(message, face_lines[first // 3]))
+    return min(errors, key=lambda e: e.line, default=None)
 
 
 def write_obj(mesh: Union[QuantizedMesh, MeshReal], path: Union[str, Path]) -> None:
@@ -149,37 +223,35 @@ def write_obj(mesh: Union[QuantizedMesh, MeshReal], path: Union[str, Path]) -> N
     if isinstance(mesh, QuantizedMesh):
         if not mesh.vertices or not mesh.faces:
             raise EmptyMeshError("refusing to write a mesh without vertices or faces")
-        rows = (
-            (
-                dequantize_coord(v.x, mesh.bits),
-                dequantize_coord(v.y, mesh.bits),
-                dequantize_coord(v.z, mesh.bits),
-            )
-            for v in mesh.vertices
-        )
-        faces = mesh.faces
+        bits = mesh.bits
+        coord = _Once(lambda q: f"{dequantize_coord(q, bits):.9g}")
+        lines = [f"v {coord[x]} {coord[y]} {coord[z]}" for x, y, z in mesh.vertices]
+        index = _Once(lambda i: str(i + 1))
+        lines.extend(f"f {index[a]} {index[b]} {index[c]}" for a, b, c in mesh.faces)
     else:
         if len(mesh.vertices) == 0 or len(mesh.faces) == 0:
             raise EmptyMeshError("refusing to write a mesh without vertices or faces")
-        rows = ((float(x), float(y), float(z)) for x, y, z in mesh.vertices)
-        faces = [Face(int(a), int(b), int(c)) for a, b, c in mesh.faces]
-    lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in rows]
-    lines.extend(f"f {f.a + 1} {f.b + 1} {f.c + 1}" for f in faces)
+        lines = [f"v {float(x):.9g} {float(y):.9g} {float(z):.9g}" for x, y, z in mesh.vertices]
+        lines.extend(f"f {int(a) + 1} {int(b) + 1} {int(c) + 1}" for a, b, c in mesh.faces)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # --- token streams -----------------------------------------------------------
 
 
+_VERTEX_RECORD = struct.Struct("<BHHH")
+
+
 def write_stream(seq: TokenSequence, path: Union[str, Path]) -> None:
     check_well_formed(seq)
     flags = 0 if seq.order == DFS else 1
-    out = bytearray()
-    out += MAGIC
+    out = bytearray(MAGIC)
     out += struct.pack("<BBBI", VERSION, seq.bits, flags, len(seq.outputs))
+    pack = _VERTEX_RECORD.pack
     for kind, v in seq.outputs:
         if kind == VERTEX:
-            out += struct.pack("<BHHH", _OP_VERTEX, v.z, v.y, v.x)
+            x, y, z = v
+            out += pack(_OP_VERTEX, z, y, x)
         elif kind == STOP:
             out.append(_OP_STOP)
         else:
@@ -203,38 +275,44 @@ def _parse_stream_bytes(data: bytes) -> tuple[int, str, list[PredictorAnswer]]:
     (count,) = struct.unpack_from("<I", data, 7)
     cells = 1 << bits
     answers: list[PredictorAnswer] = []
-    pos = 11
+    append = answers.append
+    vertices: dict[bytes, PredictorAnswer] = {}  # by their 6 coordinate bytes
+    pos, end = 11, len(data)
     for _ in range(count):
-        if pos >= len(data):
+        if pos >= end:
             raise FormatError("truncated record", pos)
         op = data[pos]
         if op == _OP_VERTEX:
-            if pos + 7 > len(data):
-                raise FormatError("truncated vertex record", pos)
-            z, y, x = struct.unpack_from("<HHH", data, pos + 1)
-            if max(x, y, z) >= cells:
-                raise FormatError(
-                    f"coordinate out of range for {bits}-bit grid", pos + 1
-                )
-            answers.append(answer_vertex(QuantizedVertex(x, y, z)))
+            key = data[pos + 1 : pos + 7]
+            answer = vertices.get(key)
+            if answer is None:
+                if pos + 7 > end:
+                    raise FormatError("truncated vertex record", pos)
+                z, y, x = struct.unpack("<HHH", key)
+                if max(x, y, z) >= cells:
+                    raise FormatError(
+                        f"coordinate out of range for {bits}-bit grid", pos + 1
+                    )
+                answer = vertices[key] = answer_vertex(QuantizedVertex(x, y, z))
+            append(answer)
             pos += 7
         elif op == _OP_STOP:
-            answers.append(ANSWER_STOP)
+            append(ANSWER_STOP)
             pos += 1
         elif op == _OP_EOS:
-            answers.append(ANSWER_EOS)
+            append(ANSWER_EOS)
             pos += 1
         else:
             raise FormatError(f"unknown opcode {op}", pos)
-    if pos != len(data):
-        raise FormatError(f"{len(data) - pos} trailing bytes", pos)
+    if pos != end:
+        raise FormatError(f"{end - pos} trailing bytes", pos)
     _require_single_terminal_eos(answers)
     return bits, order, answers
 
 
 def _require_single_terminal_eos(answers: list[PredictorAnswer]) -> None:
-    eos_positions = [i for i, a in enumerate(answers) if a.kind == EOS]
-    if not answers or eos_positions != [len(answers) - 1]:
+    # The parsers give every EOS as the ANSWER_EOS record.
+    if not answers or answers[-1] != ANSWER_EOS or answers.count(ANSWER_EOS) != 1:
         raise FormatError("stream must contain exactly one EOS, as its last record")
 
 
@@ -265,7 +343,8 @@ def dumps_text_stream(seq: TokenSequence) -> str:
     header = json.dumps(
         {"magic": "TMTS", "bits": seq.bits, "order": seq.order}, separators=(",", ":")
     )
-    return "\n".join([header, *map(_answer_line, seq.outputs)]) + "\n"
+    line = _Once(_answer_line)
+    return "\n".join([header, *map(line.__getitem__, seq.outputs)]) + "\n"
 
 
 def _text_object(line: str, where: str) -> dict:
@@ -283,10 +362,13 @@ def _parse_vertex(obj, where: str, cells: int = 1 << 16) -> QuantizedVertex:
     ``where``, unless all three are integers in [0, cells)."""
     if not isinstance(obj, dict):
         raise FormatError(f"vertex on {where} is not a JSON object: {obj!r}")
-    xyz = obj.get("x"), obj.get("y"), obj.get("z")
-    if not all(type(q) is int and 0 <= q < cells for q in xyz):  # bool is no coordinate
+    x, y, z = xyz = obj.get("x"), obj.get("y"), obj.get("z")
+    if not (
+        type(x) is int and type(y) is int and type(z) is int  # bool is no coordinate
+        and 0 <= x < cells and 0 <= y < cells and 0 <= z < cells
+    ):
         raise FormatError(f"vertex on {where} needs integer x, y, z in [0, {cells}), got {xyz}")
-    return QuantizedVertex(*xyz)
+    return QuantizedVertex(x, y, z)
 
 
 def _parse_answer(line: str, where: str, cells: int = 1 << 16) -> PredictorAnswer:
@@ -305,12 +387,14 @@ def _parse_answer(line: str, where: str, cells: int = 1 << 16) -> PredictorAnswe
 
 def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
     """Header fields plus outputs; every malformed line is a FormatError
-    naming its line number (counting blank lines)."""
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
+    naming its line number (counting blank lines). Each distinct record line
+    is parsed once; its repeats are looked up."""
+    lines = text.splitlines()
+    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if start is None:
         raise FormatError("empty text stream")
-    header_line, header_text = lines[0]
-    header = _text_object(header_text, f"line {header_line}")
+    header_line = start + 1
+    header = _text_object(lines[start], f"line {header_line}")
     if header.get("magic") != "TMTS":
         raise FormatError(f"bad magic in text header on line {header_line}")
     bits = header.get("bits")
@@ -320,7 +404,17 @@ def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
     if order not in (DFS, BFS):
         raise FormatError(f"unknown order {order!r} on line {header_line}")
     cells = 1 << bits
-    answers = [_parse_answer(line, f"line {i}", cells) for i, line in lines[1:]]
+    answers: list[PredictorAnswer] = []
+    append = answers.append
+    parsed: dict[str, PredictorAnswer] = {}
+    get = parsed.get
+    for i, line in enumerate(lines[header_line:], header_line + 1):
+        answer = get(line)
+        if answer is None:
+            if not line.strip():
+                continue
+            answer = parsed[line] = _parse_answer(line, f"line {i}", cells)
+        append(answer)
     _require_single_terminal_eos(answers)
     return bits, order, answers
 

@@ -6,20 +6,64 @@ step records via the index-based traversal that ``encode`` runs, without the
 decoder's position-keyed machine,
 normal consistency via scalar all-pairs loops, point-to-triangle distance
 via dense sampling on a barycentric lattice, nearest faces via a search
-over every (point, face) pair, and quantization and silhouette masks via the
-per-vertex and per-triangle loops that the vectorized versions replaced.
+over every (point, face) pair, quantization and silhouette masks via the
+per-vertex and per-triangle loops that the vectorized versions replaced, and
+file reading and writing via the per-record code that preceded the current.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import struct
 from collections import Counter, deque
+from pathlib import Path
+from typing import Union
 
 import numpy as np
 
-from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex, Violation
-from meshtok.sequencer import EDGE, EOS, SOS, SOS2, STOP, VERTEX, StepRecord
+from meshtok.core import (
+    Face,
+    MeshReal,
+    QuantizedMesh,
+    QuantizedVertex,
+    Violation,
+    dequantize_coord,
+    valid_bits,
+)
+from meshtok.sequencer import (
+    ANSWER_EOS,
+    ANSWER_STOP,
+    BFS,
+    DFS,
+    EDGE,
+    EOS,
+    SOS,
+    SOS2,
+    STOP,
+    VERTEX,
+    MalformedSequenceError,
+    PredictorAnswer,
+    StepRecord,
+    TokenSequence,
+    answer_vertex,
+)
 from meshtok.metrics import point_to_triangle_distance
 from meshtok.preprocess import OutOfRangeError
+from meshtok.streamio import (
+    MAGIC,
+    VERSION,
+    EmptyMeshError,
+    FormatError,
+    NonTriangleError,
+    ObjParseError,
+    _OP_EOS,
+    _OP_STOP,
+    _OP_VERTEX,
+    _answer_line,
+    _parse_answer,
+    _text_object,
+)
 
 
 def canonical_faces(mesh: QuantizedMesh) -> Counter:
@@ -364,3 +408,238 @@ def reference_fill_triangles_2d(tri2d: np.ndarray, grid: int) -> np.ndarray:
         inside = (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps)
         mask[lo[0] : hi[0], lo[1] : hi[1]] |= inside
     return mask
+
+
+# The file readers and writers and the grammar walk before each distinct
+# record was handled once: the current versions must return the same
+# results, write the same bytes and raise the same errors. Only the names
+# differ, and the writers check the sequence with ``reference_walk``.
+
+def reference_read_obj(path: Union[str, Path], fan_triangulate: bool = True) -> MeshReal:
+    """Parse `v` and `f` lines (1-based indices, `a/b/c` references allowed);
+    everything else is ignored. Polygons are fan-triangulated unless disabled."""
+    verts: list[tuple[float, float, float]] = []
+    faces: list[tuple[int, int, int]] = []
+    face_lines: list[int] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            kw = parts[0]
+            if kw == "v":
+                if len(parts) < 4:
+                    raise ObjParseError("vertex needs three coordinates", lineno)
+                try:
+                    xyz = (float(parts[1]), float(parts[2]), float(parts[3]))
+                except ValueError:
+                    raise ObjParseError("bad vertex coordinate", lineno) from None
+                if not all(map(math.isfinite, xyz)):
+                    raise ObjParseError("non-finite vertex coordinate", lineno)
+                verts.append(xyz)
+            elif kw == "f":
+                idx: list[int] = []
+                for token in parts[1:]:
+                    head = token.split("/")[0]
+                    try:
+                        value = int(head)
+                    except ValueError:
+                        raise ObjParseError(f"bad face index {head!r}", lineno) from None
+                    if value < 0:
+                        raise ObjParseError("negative indices are not supported", lineno)
+                    if value == 0:
+                        raise ObjParseError("face indices are 1-based", lineno)
+                    idx.append(value - 1)
+                if len(idx) < 3:
+                    raise ObjParseError("face needs at least three vertices", lineno)
+                if len(idx) > 3 and not fan_triangulate:
+                    raise NonTriangleError(
+                        f"{len(idx)}-gon with fan triangulation disabled", lineno
+                    )
+                for k in range(1, len(idx) - 1):
+                    faces.append((idx[0], idx[k], idx[k + 1]))
+                    face_lines.append(lineno)
+    for (fa, fb, fc), lineno in zip(faces, face_lines):
+        if max(fa, fb, fc) >= len(verts):
+            raise ObjParseError("face references a missing vertex", lineno)
+    return MeshReal(
+        np.asarray(verts, dtype=np.float64).reshape(-1, 3),
+        np.asarray(faces, dtype=np.int64).reshape(-1, 3),
+    )
+
+
+def reference_write_obj(mesh: Union[QuantizedMesh, MeshReal], path: Union[str, Path]) -> None:
+    """Write vertices and faces; quantized meshes are written at their grid
+    cell centers, so reading back and re-quantizing reproduces them exactly."""
+    if isinstance(mesh, QuantizedMesh):
+        if not mesh.vertices or not mesh.faces:
+            raise EmptyMeshError("refusing to write a mesh without vertices or faces")
+        rows = (
+            (
+                dequantize_coord(v.x, mesh.bits),
+                dequantize_coord(v.y, mesh.bits),
+                dequantize_coord(v.z, mesh.bits),
+            )
+            for v in mesh.vertices
+        )
+        faces = mesh.faces
+    else:
+        if len(mesh.vertices) == 0 or len(mesh.faces) == 0:
+            raise EmptyMeshError("refusing to write a mesh without vertices or faces")
+        rows = ((float(x), float(y), float(z)) for x, y, z in mesh.vertices)
+        faces = [Face(int(a), int(b), int(c)) for a, b, c in mesh.faces]
+    lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in rows]
+    lines.extend(f"f {f.a + 1} {f.b + 1} {f.c + 1}" for f in faces)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_write_stream(seq: TokenSequence, path: Union[str, Path]) -> None:
+    reference_walk(seq)
+    flags = 0 if seq.order == DFS else 1
+    out = bytearray()
+    out += MAGIC
+    out += struct.pack("<BBBI", VERSION, seq.bits, flags, len(seq.outputs))
+    for kind, v in seq.outputs:
+        if kind == VERTEX:
+            out += struct.pack("<BHHH", _OP_VERTEX, v.z, v.y, v.x)
+        elif kind == STOP:
+            out.append(_OP_STOP)
+        else:
+            out.append(_OP_EOS)
+    Path(path).write_bytes(bytes(out))
+
+
+def reference_parse_stream_bytes(data: bytes) -> tuple[int, str, list[PredictorAnswer]]:
+    if len(data) < 11:
+        raise FormatError("file shorter than the 11-byte header", len(data))
+    if data[:4] != MAGIC:
+        raise FormatError(f"bad magic {data[:4]!r}", 0)
+    version, bits, flags = data[4], data[5], data[6]
+    if version != VERSION:
+        raise FormatError(f"unsupported version {version}", 4)
+    if not valid_bits(bits):
+        raise FormatError(f"bits {bits} outside [1, 16]", 5)
+    if flags & ~1:
+        raise FormatError(f"reserved flag bits set: {flags:#04x}", 6)
+    order = BFS if flags & 1 else DFS
+    (count,) = struct.unpack_from("<I", data, 7)
+    cells = 1 << bits
+    answers: list[PredictorAnswer] = []
+    pos = 11
+    for _ in range(count):
+        if pos >= len(data):
+            raise FormatError("truncated record", pos)
+        op = data[pos]
+        if op == _OP_VERTEX:
+            if pos + 7 > len(data):
+                raise FormatError("truncated vertex record", pos)
+            z, y, x = struct.unpack_from("<HHH", data, pos + 1)
+            if max(x, y, z) >= cells:
+                raise FormatError(
+                    f"coordinate out of range for {bits}-bit grid", pos + 1
+                )
+            answers.append(answer_vertex(QuantizedVertex(x, y, z)))
+            pos += 7
+        elif op == _OP_STOP:
+            answers.append(ANSWER_STOP)
+            pos += 1
+        elif op == _OP_EOS:
+            answers.append(ANSWER_EOS)
+            pos += 1
+        else:
+            raise FormatError(f"unknown opcode {op}", pos)
+    if pos != len(data):
+        raise FormatError(f"{len(data) - pos} trailing bytes", pos)
+    _reference_require_single_terminal_eos(answers)
+    return bits, order, answers
+
+
+def _reference_require_single_terminal_eos(answers: list[PredictorAnswer]) -> None:
+    eos_positions = [i for i, a in enumerate(answers) if a.kind == EOS]
+    if not answers or eos_positions != [len(answers) - 1]:
+        raise FormatError("stream must contain exactly one EOS, as its last record")
+
+
+def reference_dumps_text_stream(seq: TokenSequence) -> str:
+    reference_walk(seq)
+    header = json.dumps(
+        {"magic": "TMTS", "bits": seq.bits, "order": seq.order}, separators=(",", ":")
+    )
+    return "\n".join([header, *map(_answer_line, seq.outputs)]) + "\n"
+
+
+def reference_parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
+    """Header fields plus outputs; every malformed line is a FormatError
+    naming its line number (counting blank lines)."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise FormatError("empty text stream")
+    header_line, header_text = lines[0]
+    header = _text_object(header_text, f"line {header_line}")
+    if header.get("magic") != "TMTS":
+        raise FormatError(f"bad magic in text header on line {header_line}")
+    bits = header.get("bits")
+    if type(bits) is not int or not valid_bits(bits):  # bool is not a bit count
+        raise FormatError(f"bits {bits!r} on line {header_line} is not an integer in [1, 16]")
+    order = header.get("order")
+    if order not in (DFS, BFS):
+        raise FormatError(f"unknown order {order!r} on line {header_line}")
+    cells = 1 << bits
+    answers = [_parse_answer(line, f"line {i}", cells) for i, line in lines[1:]]
+    _reference_require_single_terminal_eos(answers)
+    return bits, order, answers
+
+
+def reference_walk(seq: TokenSequence) -> tuple[int, int, int]:
+    """Check ``seq`` and count its (faces, components, stops).
+
+    The outputs must follow the component grammar: per component a VERTEX,
+    a VERTEX, then one output per pending edge, where VERTEX adds one pending
+    edge (pop one, push two) and STOP removes one; the component ends when no
+    edge is pending. The sequence ends in exactly one EOS, answering the
+    start of a component. The counter does no geometry: a vertex repeating an
+    edge endpoint is left for replay to reject.
+    """
+    if not valid_bits(seq.bits):
+        raise MalformedSequenceError(f"bits {seq.bits} outside [1, 16]")
+    if seq.order not in (DFS, BFS):
+        raise MalformedSequenceError(f"unknown traversal order {seq.order!r}")
+    if seq.truncated:
+        raise MalformedSequenceError("sequence is truncated (budget halt)")
+    if not seq.outputs:
+        raise MalformedSequenceError("empty sequence")
+    cells = 1 << seq.bits
+    mode = SOS
+    pending = faces = components = stops = 0
+    for i, (kind, v) in enumerate(seq.outputs):
+        if mode == EOS:
+            raise MalformedSequenceError(f"record {i} after terminal EOS")
+        if kind == VERTEX:
+            if v is None or not all(0 <= q < cells for q in v):
+                raise MalformedSequenceError(
+                    f"record {i}: vertex {v} is not on the {seq.bits}-bit grid"
+                )
+            if mode == EDGE:
+                faces += 1
+                pending += 1
+            elif mode == SOS:
+                components += 1
+                mode = SOS2
+            else:
+                mode = EDGE
+                pending = 2
+        elif v is not None:
+            raise MalformedSequenceError(f"record {i}: a {kind} output carries a vertex")
+        elif kind == STOP and mode == EDGE:
+            stops += 1
+            pending -= 1
+            if not pending:
+                mode = SOS
+        elif kind == EOS and mode == SOS:
+            mode = EOS
+        else:
+            raise MalformedSequenceError(f"record {i}: illegal output {kind} answering {mode}")
+    if mode != EOS:
+        raise MalformedSequenceError("missing terminal EOS")
+    return faces, components, stops

@@ -257,6 +257,13 @@ def test_fuzz_deterministic_output(capsys):
     assert first.startswith("halt=")
 
 
+@pytest.mark.parametrize("bits", ["0", "17", "-1"])
+def test_fuzz_rejects_unsupported_bits(capsys, bits):
+    assert main(["fuzz", "--seed", "1", "--bits", bits]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: bits must be in [1, 16]\n")
+
+
 def test_corrupt_stream_is_a_format_error(tmp_path):
     bad = tmp_path / "bad.tmts"
     bad.write_bytes(b"TMTSgarbage")
@@ -274,3 +281,16 @@ def test_usage_error_exits_2():
     assert err.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli._parser() is cli._parser()
+    for _ in range(2):  # the same usage error, help and exit code every time
+        with pytest.raises(SystemExit) as err:
+            main(["stats"])
+        assert err.value.code == 2
+        assert "the following arguments are required: input" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["fuzz", "--help"])
+        assert err.value.code == 0
+        assert "--max-steps" in capsys.readouterr().out

@@ -202,6 +202,16 @@ class TestRunHalts:
         with pytest.raises(ValueError, match="unknown traversal order"):
             replay_outputs([ANSWER_EOS], 7, "xyz")
 
+    @pytest.mark.parametrize("bits", [0, 17, -1])
+    def test_unsupported_bits_rejected(self, bits):
+        message = r"bits must be in \[1, 16\]"
+        with pytest.raises(ValueError, match=message):
+            fuzz_predictor(0, bits)
+        with pytest.raises(ValueError, match=message):
+            run(fuzz_predictor(0), GeneratorConfig(bits=bits))
+        with pytest.raises(ValueError, match=message):
+            replay_outputs([ANSWER_EOS], bits)
+
     def test_illegal_answers_abort(self):
         with pytest.raises(IllegalAnswerError):
             run(_script(ANSWER_STOP))  # STOP answering SOS

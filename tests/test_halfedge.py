@@ -14,7 +14,7 @@ def test_single_triangle_half_edges_and_boundaries():
     assert conn.n_faces == 1
     assert list(zip(conn.origin, conn.dest)) == [(0, 1), (1, 2), (2, 0)]
     for h in range(3):
-        assert conn.twin_of(h) is None
+        assert conn.lookup(conn.dest[h], conn.origin[h]) is None
 
 
 def test_lookup_present_and_absent():
@@ -31,8 +31,8 @@ def test_strip_twins_are_mutual():
     h_ab = conn.lookup(0, 1)
     h_ba = conn.lookup(1, 0)
     assert h_ab is not None and h_ba is not None
-    assert conn.twin_of(h_ab) == h_ba
-    assert conn.twin_of(h_ba) == h_ab
+    assert conn.lookup(conn.dest[h_ab], conn.origin[h_ab]) == h_ba
+    assert conn.lookup(conn.dest[h_ba], conn.origin[h_ba]) == h_ab
 
 
 def test_opposite_vertex_examples():
@@ -46,8 +46,8 @@ def test_tetrahedron_is_closed(tetra):
     conn = halfedge.build(tetra)
     assert len(conn.origin) == 12
     for h in range(12):
-        twin = conn.twin_of(h)
-        assert twin is not None and conn.twin_of(twin) == h
+        twin = conn.lookup(conn.dest[h], conn.origin[h])
+        assert twin is not None and conn.lookup(conn.dest[twin], conn.origin[twin]) == h
 
 
 def test_duplicate_directed_edge_reported():
