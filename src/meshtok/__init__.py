@@ -19,8 +19,6 @@ from .core import (
     quantize_coord,
     validate_manifold,
 )
-from .halfedge import HalfEdgeConnectivity
-from .halfedge import build as build_halfedge
 from .preprocess import (
     AcceptDecision,
     DegenerateExtentError,

@@ -14,7 +14,7 @@ import functools
 import sys
 from typing import Optional
 
-from .core import connected_components, validate_manifold
+from .core import connected_components
 from .generator import (
     DesyncError,
     GeneratorConfig,
@@ -59,11 +59,8 @@ def _cmd_tokenize(args: argparse.Namespace) -> int:
         for v in violations[:10]:
             print(f"  {v.code}: {v.message}", file=sys.stderr)
         return 1
-    if args.text:
-        streamio.write_text_stream(seq, args.output)
-    else:
-        streamio.write_stream(seq, args.output)
-    st = sequence_stats(seq)
+    write = streamio.write_text_stream if args.text else streamio.write_stream
+    st = write(seq, args.output)
     print(
         f"wrote {args.output}: length={st.length} faces={st.n_faces} "
         f"components={st.n_components}"
@@ -90,18 +87,19 @@ def _cmd_detokenize(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     mesh = quantize(read_obj(args.input), args.bits)
-    report = validate_manifold(mesh)
-    if report.ok:
+    try:
         comps = connected_components(mesh)
-        print(
-            f"ok: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces, "
-            f"{len(comps)} components"
-        )
-        return 0
-    print(f"invalid: {len(report.violations)} violations")
-    for v in report.violations:
-        print(f"  {v.code}: {v.message}")
-    return 1
+    except InvalidMeshError as exc:
+        violations = exc.report.violations
+        print(f"invalid: {len(violations)} violations")
+        for v in violations:
+            print(f"  {v.code}: {v.message}")
+        return 1
+    print(
+        f"ok: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces, "
+        f"{len(comps)} components"
+    )
+    return 0
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:

@@ -79,6 +79,15 @@ class ValidationReport:
     violations: list[Violation]
 
 
+class InvalidMeshError(ValueError):
+    """A mesh that fails validation was given where a valid one is required;
+    ``report`` holds every violation."""
+
+    def __init__(self, report: ValidationReport):
+        self.report = report
+        super().__init__("; ".join(v.message for v in report.violations[:5]))
+
+
 def quantize_coord(x: float, bits: int) -> int:
     """Map a real coordinate in [-0.5, 0.5] to its grid cell (clamped)."""
     cells = 1 << bits
@@ -126,15 +135,17 @@ def validate_manifold(mesh: QuantizedMesh) -> ValidationReport:
 def connected_components(mesh: QuantizedMesh) -> list[set[int]]:
     """Partition face indices by edge-connectivity.
 
-    Faces are adjacent iff they share an undirected edge; sharing only a
-    vertex does not connect them. Components are ordered by smallest face
-    index.
+    Faces are adjacent iff they share an edge, which on a valid mesh is a
+    pair of twin half-edges; sharing only a vertex does not connect them.
+    Components are ordered by smallest face index. The mesh must pass
+    ``validate_manifold``; otherwise InvalidMeshError carries its report.
     """
-    by_edge: dict[tuple[int, int], list[int]] = {}
-    for fi, f in enumerate(mesh.faces):
-        for o, d in ((f.a, f.b), (f.b, f.c), (f.c, f.a)):
-            key = (o, d) if o < d else (d, o)
-            by_edge.setdefault(key, []).append(fi)
+    from .halfedge import build  # halfedge imports this module
+
+    conn = build(mesh)
+    if not conn.report.ok:
+        raise InvalidMeshError(conn.report)
+    twin = conn.twin
     seen = [False] * len(mesh.faces)
     components: list[set[int]] = []
     for start in range(len(mesh.faces)):
@@ -144,14 +155,11 @@ def connected_components(mesh: QuantizedMesh) -> list[set[int]]:
         seen[start] = True
         stack = [start]
         while stack:
-            fi = stack.pop()
-            f = mesh.faces[fi]
-            for o, d in ((f.a, f.b), (f.b, f.c), (f.c, f.a)):
-                key = (o, d) if o < d else (d, o)
-                for nb in by_edge[key]:
-                    if not seen[nb]:
-                        seen[nb] = True
-                        comp.add(nb)
-                        stack.append(nb)
+            f = stack.pop()
+            for t in twin[3 * f : 3 * f + 3]:
+                if t >= 0 and not seen[t // 3]:
+                    seen[t // 3] = True
+                    comp.add(t // 3)
+                    stack.append(t // 3)
         components.append(comp)
     return components

@@ -1,49 +1,34 @@
 """Half-edge connectivity over a triangle mesh, validated as it is built.
 
 Handles are plain ints: face ``f`` owns half-edges ``3f``, ``3f+1``, ``3f+2``
-for its directed edges ``a->b``, ``b->c``, ``c->a``. Building walks the faces'
-directed edges once and checks the half-edge traversal requirement on the way
-(see ``core.validate_manifold``); the result carries the report. The structure
-is immutable after build; traversals keep their own visited flags so one
-connectivity can serve many walks.
+for its directed edges ``a->b``, ``b->c``, ``c->a``. So ``h`` lies in face
+``h // 3``, and its destination is the origin of the next half-edge,
+``h - h % 3 + (h + 1) % 3``. ``twin[h]`` is the half-edge running the other
+way in the neighbouring face, or -1 on a boundary: the only adjacency the
+codec needs. Building walks the faces' directed edges once and checks the
+half-edge traversal requirement on the way (see ``core.validate_manifold``);
+the result carries the report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import QuantizedMesh, ValidationReport, Violation
 
 
 @dataclass
 class HalfEdgeConnectivity:
-    n_faces: int
     origin: list[int]
-    dest: list[int]
-    _by_edge: dict[tuple[int, int], int]
+    twin: list[int]
     report: ValidationReport
-
-    def face_of(self, h: int) -> int:
-        return h // 3
-
-    def next_of(self, h: int) -> int:
-        return h - h % 3 + (h + 1) % 3
-
-    def lookup(self, origin: int, dest: int) -> Optional[int]:
-        """Handle of the half-edge origin->dest, or None if no face contains it."""
-        return self._by_edge.get((origin, dest))
-
-    def opposite_vertex(self, h: int) -> int:
-        """Third vertex of the face containing h: origin of next(next(h))."""
-        return self.origin[self.next_of(self.next_of(h))]
 
 
 def build(mesh: QuantizedMesh) -> HalfEdgeConnectivity:
     """Construct connectivity and validate the mesh in the same walk.
 
     Violations are reported in face order: a face with a missing or repeated
-    vertex index is reported once and contributes no half-edges to lookups;
+    vertex index is reported once and contributes no half-edges to ``twin``;
     every repeat of a directed edge names the first face that claimed it.
     When ``report.ok`` is false the connectivity must not be traversed.
     """
@@ -52,11 +37,10 @@ def build(mesh: QuantizedMesh) -> HalfEdgeConnectivity:
     if not mesh.faces:
         violations.append(Violation("no_faces", "mesh has no faces"))
     origin: list[int] = []
-    dest: list[int] = []
-    by_edge: dict[tuple[int, int], int] = {}
+    twin = [-1] * (3 * len(mesh.faces))
+    by_edge: dict[int, int] = {}  # directed edge o->d, keyed o * n_verts + d
     for fi, (a, b, c) in enumerate(mesh.faces):
         origin += (a, b, c)
-        dest += (b, c, a)
         if not (0 <= a < n_verts and 0 <= b < n_verts and 0 <= c < n_verts):
             violations.append(
                 Violation("index_out_of_range", f"face {fi} references a missing vertex")
@@ -67,15 +51,20 @@ def build(mesh: QuantizedMesh) -> HalfEdgeConnectivity:
                 Violation("degenerate_face", f"face {fi} repeats a vertex index")
             )
             continue
-        for h, e in enumerate(((a, b), (b, c), (c, a)), 3 * fi):
-            first = by_edge.setdefault(e, h)
+        h = 3 * fi
+        for o, d in ((a, b), (b, c), (c, a)):
+            first = by_edge.setdefault(o * n_verts + d, h)
             if first != h:
                 violations.append(
                     Violation(
                         "duplicate_directed_edge",
-                        f"directed edge ({e[0]},{e[1]}) appears in faces {first // 3} and {fi}",
+                        f"directed edge ({o},{d}) appears in faces {first // 3} and {fi}",
                     )
                 )
-    return HalfEdgeConnectivity(
-        len(mesh.faces), origin, dest, by_edge, ValidationReport(not violations, violations)
-    )
+            else:
+                t = by_edge.get(d * n_verts + o)
+                if t is not None:
+                    twin[h] = t
+                    twin[t] = h
+            h += 1
+    return HalfEdgeConnectivity(origin, twin, ValidationReport(not violations, violations))

@@ -50,9 +50,11 @@ class PreprocessConfig:
         require_valid_bits(self.bits)
         if not 0.0 < self.scale_low <= self.scale_high <= 1.0:
             raise ValueError("scale range must satisfy 0 < low <= high <= 1")
-        # Each test is written so that NaN fails it.
-        if type(self.proj_grid) is not int or self.proj_grid < 1:  # bool is not a grid size
-            raise ValueError(f"proj_grid must be an integer >= 1, got {self.proj_grid!r}")
+        # Each test is written so that NaN fails it; bool is not a count.
+        for name in ("max_faces", "proj_grid"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 <= self.proj_min_area <= 1.0:
             raise ValueError(f"proj_min_area must be in [0, 1], got {self.proj_min_area!r}")
         if not 0.0 <= self.flip_prob <= 1.0:

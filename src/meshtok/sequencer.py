@@ -2,11 +2,12 @@
 
 Each component contributes two auxiliary steps (its first two vertices),
 then one step per pending-edge pop: VERTEX when the popped edge discovers
-a new face, STOP when it hits a boundary or an already-visited face. A face
-discovered from edge (a, b) with opposite vertex c pushes (a, c) then (c, b),
-so (c, b) is processed next in depth-first order. The pending container is a
-stack for DFS and a FIFO queue for BFS; nothing else differs between the two
-orders. One final step answers EOS when no faces remain.
+a new face, STOP when it hits a boundary (-1) or an already-visited face.
+Pending edges are half-edge handles, each naming the face on its far side. A
+face a->b->c entered through a->b pushes the twins of c->a, then of b->c, so
+the face beyond b->c is processed next in depth-first order. The pending
+container is a stack for DFS and a FIFO queue for BFS; nothing else differs
+between the two orders. One final step answers EOS when no faces remain.
 
 Only outputs carry information: inputs are reproducible by replaying the
 same pending-edge discipline, which is what lets a face cost two tokens. A
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .core import QuantizedMesh, QuantizedVertex, ValidationReport, height_sort_key, valid_bits
+from .core import InvalidMeshError, QuantizedMesh, QuantizedVertex, height_sort_key, valid_bits
 from . import halfedge
 
 # Step input kinds.
@@ -39,15 +40,6 @@ DFS = "dfs"
 BFS = "bfs"
 
 EdgePositions = tuple[QuantizedVertex, QuantizedVertex]
-
-
-class InvalidMeshError(ValueError):
-    """Encoding was asked for a mesh that fails validation; ``report`` holds
-    every violation."""
-
-    def __init__(self, report: ValidationReport):
-        self.report = report
-        super().__init__("; ".join(v.message for v in report.violations[:5]))
 
 
 class MalformedSequenceError(ValueError):
@@ -204,35 +196,37 @@ def encode(mesh: QuantizedMesh, order: str = DFS) -> TokenSequence:
     rank = [0] * n
     for r, v in enumerate(sorted(range(n), key=lambda v: (height_sort_key(mesh.vertices[v]), v))):
         rank[v] = r
-    origin, dest = conn.origin, conn.dest
-    starts = sorted(range(3 * conn.n_faces), key=lambda h: rank[origin[h]] * n + rank[dest[h]])
+    origin, twin = conn.origin, conn.twin
+    starts = sorted(
+        range(len(origin)), key=lambda h: rank[origin[h]] * n + rank[origin[h - h % 3 + (h + 1) % 3]]
+    )
     cursor = 0
-    visited = [False] * conn.n_faces
-    remaining = conn.n_faces
+    visited = [False] * len(mesh.faces)
+    remaining = len(mesh.faces)
     outputs: list[PredictorAnswer] = []
-    pending: deque[tuple[int, int]] = deque()
+    pending: deque[int] = deque()
     take = pending.pop if order == DFS else pending.popleft
 
     while remaining:
-        while visited[conn.face_of(starts[cursor])]:
+        while visited[starts[cursor] // 3]:
             cursor += 1
-        v1, v2 = origin[starts[cursor]], dest[starts[cursor]]
-        outputs.append(emit[v1])
-        outputs.append(emit[v2])
-        pending.append((v2, v1))  # twin first, so (v1, v2) is processed first
-        pending.append((v1, v2))
+        h = starts[cursor]
+        outputs.append(emit[origin[h]])
+        outputs.append(emit[origin[h - h % 3 + (h + 1) % 3]])
+        pending.append(twin[h])  # twin first, so h is processed first
+        pending.append(h)
         while pending:
-            a, b = take()
-            h = conn.lookup(a, b)
-            if h is None or visited[conn.face_of(h)]:
+            h = take()
+            if h < 0 or visited[h // 3]:
                 outputs.append(ANSWER_STOP)
                 continue
-            visited[conn.face_of(h)] = True
+            f = h // 3
+            visited[f] = True
             remaining -= 1
-            c = conn.opposite_vertex(h)
-            outputs.append(emit[c])
-            pending.append((a, c))
-            pending.append((c, b))
+            ca = 3 * f + (h + 2) % 3  # h is a->b in face a->b->c
+            outputs.append(emit[origin[ca]])
+            pending.append(twin[ca])
+            pending.append(twin[3 * f + (h + 1) % 3])
     outputs.append(ANSWER_EOS)
     return TokenSequence(bits=mesh.bits, order=order, outputs=outputs)
 

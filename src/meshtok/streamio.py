@@ -9,10 +9,11 @@ Token stream (binary, extension .tmts):
 Only step outputs are stored, exactly what a ``TokenSequence`` holds; the
 decoder's stack machine re-derives every input on replay, which is what
 makes two tokens per face real at the file level. The writers check the
-sequence with ``check_well_formed`` first. ``read_stream_answers`` returns
-the header fields and the outputs: exactly one EOS is allowed and it must be
-last; trailing bytes, out-of-range coordinates and text that is not UTF-8
-are rejected with FormatError. Whether the outputs form a transcript the
+sequence first, with the one grammar walk that ``sequence_stats`` makes, and
+return its ``SequenceStats``. ``read_stream_answers`` returns the header
+fields and the outputs: exactly one EOS is allowed and it must be last;
+trailing bytes, out-of-range coordinates and text that is not UTF-8 are
+rejected with FormatError. Whether the outputs form a transcript the
 machine can replay is for ``generator.replay_outputs`` to decide.
 
 Token stream (text): one JSON object per line, same information as binary.
@@ -26,7 +27,7 @@ records.
 A mesh repeats few distinct records: each vertex appears once as a VERTEX
 output, and a grid has few distinct coordinates. So the stream parsers parse
 each distinct text line, or each distinct 6 coordinate bytes, once and look
-their repeats up; ``dumps_text_stream`` formats each distinct answer once, and
+their repeats up; ``write_text_stream`` formats each distinct answer once, and
 ``write_obj`` each distinct grid coordinate and face index. ``read_obj``
 streams the file line by line into flat lists and checks finiteness and the
 index range once, on the whole lists. Every error still names the first bad
@@ -57,9 +58,10 @@ from .sequencer import (
     STOP,
     VERTEX,
     PredictorAnswer,
+    SequenceStats,
     TokenSequence,
     answer_vertex,
-    check_well_formed,
+    sequence_stats,
 )
 
 MAGIC = b"TMTS"
@@ -242,8 +244,9 @@ def write_obj(mesh: Union[QuantizedMesh, MeshReal], path: Union[str, Path]) -> N
 _VERTEX_RECORD = struct.Struct("<BHHH")
 
 
-def write_stream(seq: TokenSequence, path: Union[str, Path]) -> None:
-    check_well_formed(seq)
+def write_stream(seq: TokenSequence, path: Union[str, Path]) -> SequenceStats:
+    """Write the binary stream; return the stats of the walk that checked it."""
+    stats = sequence_stats(seq)
     flags = 0 if seq.order == DFS else 1
     out = bytearray(MAGIC)
     out += struct.pack("<BBBI", VERSION, seq.bits, flags, len(seq.outputs))
@@ -257,6 +260,7 @@ def write_stream(seq: TokenSequence, path: Union[str, Path]) -> None:
         else:
             out.append(_OP_EOS)
     Path(path).write_bytes(bytes(out))
+    return stats
 
 
 def _parse_stream_bytes(data: bytes) -> tuple[int, str, list[PredictorAnswer]]:
@@ -338,15 +342,6 @@ def _answer_line(a: PredictorAnswer) -> str:
     return '{"op":"stop"}' if a.kind == STOP else '{"op":"eos"}'
 
 
-def dumps_text_stream(seq: TokenSequence) -> str:
-    check_well_formed(seq)
-    header = json.dumps(
-        {"magic": "TMTS", "bits": seq.bits, "order": seq.order}, separators=(",", ":")
-    )
-    line = _Once(_answer_line)
-    return "\n".join([header, *map(line.__getitem__, seq.outputs)]) + "\n"
-
-
 def _text_object(line: str, where: str) -> dict:
     try:
         obj = json.loads(line)
@@ -419,8 +414,16 @@ def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
     return bits, order, answers
 
 
-def write_text_stream(seq: TokenSequence, path: Union[str, Path]) -> None:
-    Path(path).write_text(dumps_text_stream(seq), encoding="utf-8")
+def write_text_stream(seq: TokenSequence, path: Union[str, Path]) -> SequenceStats:
+    """Write the text stream; return the stats of the walk that checked it."""
+    stats = sequence_stats(seq)
+    header = json.dumps(
+        {"magic": "TMTS", "bits": seq.bits, "order": seq.order}, separators=(",", ":")
+    )
+    line = _Once(_answer_line)
+    text = "\n".join([header, *map(line.__getitem__, seq.outputs)]) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+    return stats
 
 
 # --- point clouds ------------------------------------------------------------

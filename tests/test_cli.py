@@ -105,12 +105,17 @@ def test_tokenize_walks_the_directed_edges_once(tmp_path, tetra_obj, monkeypatch
         out.faces = CountingList(out.faces)
         return out
 
-    builds = []
-    build = halfedge.build
+    builds, grammar_walks = [], []
+    build, walk = halfedge.build, sequencer._walk
     monkeypatch.setattr(cli, "quantize", quantize_counting)
     monkeypatch.setattr(halfedge, "build", lambda mesh: builds.append(1) or build(mesh))
-    assert main(["tokenize", str(tetra_obj), "-o", str(tmp_path / "t.tmts")]) == 0
-    assert (CountingList.walks, len(builds)) == (1, 1)
+    monkeypatch.setattr(sequencer, "_walk", lambda seq: grammar_walks.append(1) or walk(seq))
+    for text in ([], ["--text"]):
+        CountingList.walks = 0
+        builds.clear()
+        grammar_walks.clear()
+        assert main(["tokenize", str(tetra_obj), "-o", str(tmp_path / "t"), *text]) == 0
+        assert (CountingList.walks, len(builds), len(grammar_walks)) == (1, 1, 1), text
 
 
 def test_codec_commands_build_no_records_or_queries(tmp_path, tetra_obj, monkeypatch):
@@ -190,6 +195,8 @@ def test_preprocess_rejects_multi_cluster_scene(tmp_path, capsys):
         ("preprocess", "--proj-min-area", "nan", "proj_min_area"),
         ("preprocess", "--proj-grid", "0", "proj_grid"),
         ("preprocess", "--proj-grid", "-3", "proj_grid"),
+        ("preprocess", "--max-faces", "0", "max_faces"),
+        ("preprocess", "--max-faces", "-1", "max_faces"),
     ],
 )
 def test_bad_preprocess_config_is_a_usage_error(tmp_path, tetra_obj, capsys, command, option, value, field):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from meshtok.core import (
     Face,
+    InvalidMeshError,
     QuantizedMesh,
     QuantizedVertex,
     connected_components,
@@ -103,6 +104,14 @@ class TestConnectedComponents:
         for name, mesh in corpus7:
             got = {frozenset(c) for c in connected_components(mesh)}
             assert got == set(union_find_components(mesh)), name
+
+    def test_invalid_mesh_raises(self):
+        verts = [QuantizedVertex(i, i, i) for i in range(4)]
+        mesh = QuantizedMesh(verts, [Face(0, 1, 2), Face(0, 1, 3)], 7)
+        with pytest.raises(InvalidMeshError) as err:
+            connected_components(mesh)
+        assert err.value.report == validate_manifold(mesh)
+        assert [v.code for v in err.value.report.violations] == ["duplicate_directed_edge"]
 
     def test_partition_covers_all_faces(self, corpus7):
         for name, mesh in corpus7:

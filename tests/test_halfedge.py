@@ -9,45 +9,58 @@ def _mesh(faces, n_verts):
     return QuantizedMesh(verts, [Face(*f) for f in faces], 7)
 
 
+def _dest(conn, h):
+    return conn.origin[h - h % 3 + (h + 1) % 3]
+
+
+def _opposite(conn, h):
+    return conn.origin[h - h % 3 + (h + 2) % 3]
+
+
+def _edges(conn):
+    """Directed edge (origin, dest) -> handle."""
+    return {(conn.origin[h], _dest(conn, h)): h for h in range(len(conn.origin))}
+
+
 def test_single_triangle_half_edges_and_boundaries():
     conn = halfedge.build(_mesh([(0, 1, 2)], 3))
-    assert conn.n_faces == 1
-    assert list(zip(conn.origin, conn.dest)) == [(0, 1), (1, 2), (2, 0)]
-    for h in range(3):
-        assert conn.lookup(conn.dest[h], conn.origin[h]) is None
+    assert len(conn.origin) == 3
+    assert [(conn.origin[h], _dest(conn, h)) for h in range(3)] == [(0, 1), (1, 2), (2, 0)]
+    assert conn.twin == [-1, -1, -1]
 
 
-def test_lookup_present_and_absent():
-    conn = halfedge.build(_mesh([(0, 1, 2)], 3))
-    assert conn.lookup(0, 1) == 0
-    assert conn.lookup(1, 2) == 1
-    assert conn.lookup(1, 0) is None  # boundary from the far side
-    assert conn.lookup(2, 0) == 2
+def test_twin_present_and_absent():
+    # Faces (a,b,c) and (b,a,d) share the edge a-b and nothing else.
+    conn = halfedge.build(_mesh([(0, 1, 2), (1, 0, 3)], 4))
+    assert conn.twin == [3, -1, -1, 0, -1, -1]
 
 
 def test_strip_twins_are_mutual():
     # Faces (a,b,c) and (b,a,d): a->b and b->a both exist and twin each other.
     conn = halfedge.build(_mesh([(0, 1, 2), (1, 0, 3)], 4))
-    h_ab = conn.lookup(0, 1)
-    h_ba = conn.lookup(1, 0)
-    assert h_ab is not None and h_ba is not None
-    assert conn.lookup(conn.dest[h_ab], conn.origin[h_ab]) == h_ba
-    assert conn.lookup(conn.dest[h_ba], conn.origin[h_ba]) == h_ab
+    edges = _edges(conn)
+    h_ab, h_ba = edges[0, 1], edges[1, 0]
+    assert conn.twin[h_ab] == h_ba and conn.twin[h_ba] == h_ab
+    assert (conn.origin[h_ba], _dest(conn, h_ba)) == (_dest(conn, h_ab), conn.origin[h_ab])
 
 
 def test_opposite_vertex_examples():
     conn = halfedge.build(_mesh([(0, 1, 2), (1, 0, 3)], 4))
-    assert conn.opposite_vertex(conn.lookup(0, 1)) == 2
-    assert conn.opposite_vertex(conn.lookup(1, 2)) == 0
-    assert conn.opposite_vertex(conn.lookup(1, 0)) == 3
+    edges = _edges(conn)
+    assert _opposite(conn, edges[0, 1]) == 2
+    assert _opposite(conn, edges[1, 2]) == 0
+    assert _opposite(conn, edges[1, 0]) == 3
+    # The face beyond a->b, reached by its twin, lies opposite d.
+    assert _opposite(conn, conn.twin[edges[0, 1]]) == 3
 
 
 def test_tetrahedron_is_closed(tetra):
     conn = halfedge.build(tetra)
-    assert len(conn.origin) == 12
+    assert len(conn.origin) == len(conn.twin) == 12
     for h in range(12):
-        twin = conn.lookup(conn.dest[h], conn.origin[h])
-        assert twin is not None and conn.lookup(conn.dest[twin], conn.origin[twin]) == h
+        t = conn.twin[h]
+        assert t >= 0 and t // 3 != h // 3 and conn.twin[t] == h
+        assert (conn.origin[t], _dest(conn, t)) == (_dest(conn, h), conn.origin[h])
 
 
 def test_duplicate_directed_edge_reported():
@@ -58,23 +71,25 @@ def test_duplicate_directed_edge_reported():
     ]
 
 
-
 def test_opposite_vertex_is_a_face_bijection(corpus7):
     for name, mesh in corpus7:
         conn = halfedge.build(mesh)
         for fi, f in enumerate(mesh.faces):
-            opposites = {conn.opposite_vertex(h) for h in range(3 * fi, 3 * fi + 3)}
+            opposites = {_opposite(conn, h) for h in range(3 * fi, 3 * fi + 3)}
             assert opposites == {f.a, f.b, f.c}, name
 
 
-def test_lookup_agrees_with_face_list(corpus7):
+def test_twin_agrees_with_face_list(corpus7):
     for name, mesh in corpus7:
         conn = halfedge.build(mesh)
+        assert conn.report.ok, name
         expected = set()
         for f in mesh.faces:
             expected.update(((f.a, f.b), (f.b, f.c), (f.c, f.a)))
-        for o, d in expected:
-            assert conn.lookup(o, d) is not None, name
-        missing = [(d, o) for o, d in expected if (d, o) not in expected]
-        for o, d in missing:
-            assert conn.lookup(o, d) is None, name
+        assert set(_edges(conn)) == expected, name
+        for h, t in enumerate(conn.twin):
+            o, d = conn.origin[h], _dest(conn, h)
+            if (d, o) in expected:
+                assert (conn.origin[t], _dest(conn, t)) == (d, o) and conn.twin[t] == h, name
+            else:
+                assert t == -1, name

@@ -323,6 +323,10 @@ class TestConfigValidation:
             {"proj_grid": -3},
             {"proj_grid": 2.5},
             {"proj_grid": True},
+            {"max_faces": 0},
+            {"max_faces": -1},
+            {"max_faces": 2.5},
+            {"max_faces": True},
             {"proj_min_area": float("nan")},
             {"proj_min_area": float("inf")},
             {"proj_min_area": -0.1},
@@ -342,7 +346,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"proj_grid": 1, "proj_min_area": 0.0, "flip_prob": 0.0},
+            {"proj_grid": 1, "proj_min_area": 0.0, "flip_prob": 0.0, "max_faces": 1},
             {"proj_min_area": 1.0, "flip_prob": 1.0, "z_rot_max_degrees": -720.0},
         ],
     )

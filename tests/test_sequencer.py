@@ -35,7 +35,7 @@ from meshtok.sequencer import (
     encode,
     sequence_stats,
 )
-from helpers import reference_records, reference_violations
+from helpers import reference_records, reference_violations, union_find_components
 
 
 def _component_spans(seq):
@@ -110,6 +110,24 @@ def test_derived_records_match_the_traversal(corpus7, corpus9):
                 mesh.bits,
                 order,
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_reordered_faces_match_the_traversal(corpus7, corpus9, data, seed):
+    # Shuffled faces, each rotated: the start half-edge and every popped one
+    # lands at each in-face position.
+    name, mesh = data.draw(st.sampled_from(corpus7 + corpus9))
+    rng = random.Random(seed)
+    faces = list(mesh.faces)
+    rng.shuffle(faces)
+    faces = [Face(*f[r:], *f[:r]) for f, r in zip(faces, (rng.randrange(3) for _ in faces))]
+    mesh = QuantizedMesh(mesh.vertices, faces, mesh.bits)
+    for order in ("dfs", "bfs"):
+        assert encode(mesh, order).records == reference_records(mesh, order), (name, order)
+    comps = connected_components(mesh)
+    assert {frozenset(c) for c in comps} == set(union_find_components(mesh)), name
+    assert [min(c) for c in comps] == sorted(min(c) for c in comps), name
 
 
 class TestTetrahedronTrace:
