@@ -197,6 +197,17 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type for sample counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meshtok",
@@ -243,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="Chamfer distance and normal consistency")
     p.add_argument("source")
     p.add_argument("reference")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_count, default=10000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("sample-pc", help="area-weighted surface point samples")
     p.add_argument("input")
-    p.add_argument("-n", "--count", type=int, default=8192)
+    p.add_argument("-n", "--count", type=_count, default=8192)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["xyz", "ply"], default="xyz")

@@ -33,8 +33,9 @@ MAX_BITS = 16
 
 
 def valid_bits(bits: int) -> bool:
-    """Whether ``bits`` is a supported grid depth: 1 to ``MAX_BITS``."""
-    return 1 <= bits <= MAX_BITS
+    """Whether ``bits`` is a supported grid depth: an int from 1 to
+    ``MAX_BITS``. A bool is not a bit count."""
+    return type(bits) is int and 1 <= bits <= MAX_BITS
 
 
 def require_valid_bits(bits: int) -> None:

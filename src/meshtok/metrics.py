@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import MeshReal
 
@@ -90,6 +89,8 @@ def sample_surface(mesh: MeshReal, n: int, seed: int = 0) -> np.ndarray:
 
 def chamfer(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
     """Bidirectional mean closest-point (Euclidean, non-squared) distance."""
+    from scipy.spatial import cKDTree  # scipy loads only where metrics run
+
     pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 3)
     pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 3)
     if len(pts_a) == 0 or len(pts_b) == 0:
@@ -256,6 +257,8 @@ def closest_faces(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarra
     idxs = np.empty(n, dtype=np.int64)
     if n == 0:
         return dists, idxs
+    from scipy.spatial import cKDTree
+
     centroids = (a + b + c) / 3.0
     reach = max(float(np.linalg.norm(v - centroids, axis=1).max()) for v in (a, b, c))
     # Distances carry rounding errors relative to the size of the coordinates.

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .core import (
     MAX_BITS,
@@ -184,9 +183,44 @@ def _fill_triangles_2d(tri2d: np.ndarray, grid: int) -> np.ndarray:
 
 
 def _cluster_count(mask: np.ndarray) -> int:
-    """Connected clusters of filled pixels under 8-connectivity."""
-    _, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
-    return int(count)
+    """Connected clusters of filled pixels of a boolean mask under
+    8-connectivity.
+
+    The filled pixels of each row form runs ``[start, end)``. Runs in
+    adjacent rows touch when each starts no later than the other ends; the
+    exclusive end admits the diagonal neighbours. A union-find over the runs,
+    with path halving, joins every touching pair."""
+    h, w = mask.shape
+    padded = np.zeros((h, w + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    step = np.diff(padded, axis=1)
+    rows, starts = np.nonzero(step == 1)
+    ends = np.nonzero(step == -1)[1]
+    # Keys row * stride + column sort the runs row by row. The runs of row
+    # r + 1 that touch a run of row r, those ending at or after its start
+    # and starting at or before its end, form one index range [lo, hi).
+    stride = w + 2
+    below = (rows + 1) * stride
+    lo = np.searchsorted(rows * stride + ends, below + starts, side="left")
+    hi = np.searchsorted(rows * stride + starts, below + ends, side="right")
+    touching = np.maximum(hi - lo, 0)
+    upper = np.repeat(np.arange(len(starts)), touching)
+    lower = np.repeat(lo - np.cumsum(touching) + touching, touching) + np.arange(len(upper))
+    parent = list(range(len(starts)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    clusters = len(parent)
+    for i, j in zip(upper.tolist(), lower.tolist()):
+        i, j = root(i), root(j)
+        if i != j:
+            parent[i] = j
+            clusters -= 1
+    return clusters
 
 
 def filter_mesh(mesh: QuantizedMesh, cfg: Optional[PreprocessConfig] = None) -> AcceptDecision:

@@ -393,7 +393,7 @@ def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
     if header.get("magic") != "TMTS":
         raise FormatError(f"bad magic in text header on line {header_line}")
     bits = header.get("bits")
-    if type(bits) is not int or not valid_bits(bits):  # bool is not a bit count
+    if not valid_bits(bits):
         raise FormatError(f"bits {bits!r} on line {header_line} is not an integer in [1, 16]")
     order = header.get("order")
     if order not in (DFS, BFS):

@@ -7,8 +7,9 @@ decoder's position-keyed machine,
 normal consistency via scalar all-pairs loops, point-to-triangle distance
 via dense sampling on a barycentric lattice, nearest faces via a search
 over every (point, face) pair, quantization and silhouette masks via the
-per-vertex and per-triangle loops that the vectorized versions replaced, and
-file reading and writing via the per-record code that preceded the current.
+per-vertex and per-triangle loops that the vectorized versions replaced,
+silhouette cluster counts via ``scipy.ndimage.label``, and file reading
+and writing via the per-record code that preceded the current.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
+from scipy import ndimage
 
 from meshtok.core import (
     Face,
@@ -408,6 +410,15 @@ def reference_fill_triangles_2d(tri2d: np.ndarray, grid: int) -> np.ndarray:
         inside = (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps)
         mask[lo[0] : hi[0], lo[1] : hi[1]] |= inside
     return mask
+
+
+# The labelling that ``preprocess._cluster_count`` replaced: the run-based
+# union-find must count the same 8-connected clusters.
+
+def reference_cluster_count(mask: np.ndarray) -> int:
+    """Connected clusters of filled pixels under 8-connectivity."""
+    _, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    return int(count)
 
 
 # The file readers and writers and the grammar walk before each distinct

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -282,12 +288,24 @@ def test_missing_input_file(tmp_path):
     assert main(["validate", str(tmp_path / "absent.obj")]) == 2
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["tokenize"])  # missing required -o and input
     assert err.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+    # Sample counts below 1 fail at parsing, naming the flag.
+    for argv, flag in [
+        (["metrics", "a.obj", "b.obj", "--samples", "-1"], "--samples"),
+        (["metrics", "a.obj", "b.obj", "--samples", "0"], "--samples"),
+        (["sample-pc", "a.obj", "-o", "pc.xyz", "-n", "-1"], "-n/--count"),
+        (["sample-pc", "a.obj", "-o", "pc.xyz", "--count", "0"], "-n/--count"),
+    ]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"argument {flag}: must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_reused(capsys):
@@ -301,3 +319,52 @@ def test_parser_is_built_once_and_reused(capsys):
             main(["fuzz", "--help"])
         assert err.value.code == 0
         assert "--max-steps" in capsys.readouterr().out
+
+
+# Runs CLI commands in a fresh interpreter and prints, as its last line, the
+# exit codes and every scipy module that the commands loaded.
+_IMPORT_PROBE = """
+import json, sys
+from meshtok.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _probe_imports(commands: list[list[str]]) -> dict:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_codec_and_intake_commands_load_no_scipy(tmp_path):
+    raw, clean = tmp_path / "raw.obj", tmp_path / "clean.obj"
+    mesh = tetrahedron()
+    write_obj(type(mesh)(mesh.vertices * 12.0 + 4.0, mesh.faces), raw)
+    stream, text, back = tmp_path / "t.tmts", tmp_path / "t.jsonl", tmp_path / "back.obj"
+    commands = [
+        ["preprocess", str(raw), "-o", str(clean)],
+        ["tokenize", str(clean), "-o", str(stream)],
+        ["tokenize", str(clean), "-o", str(text), "--text"],
+        ["detokenize", str(stream), "-o", str(back)],
+        ["stats", str(text)],
+        ["validate", str(back)],
+        ["fuzz", "--seed", "3", "--max-steps", "500"],
+    ]
+    report = _probe_imports(commands)
+    assert report == {"codes": [0] * len(commands), "scipy": []}
+
+
+def test_metrics_loads_scipy_spatial_only(tetra_obj):
+    report = _probe_imports([["metrics", str(tetra_obj), str(tetra_obj), "--samples", "200"]])
+    assert report["codes"] == [0]
+    assert "scipy.spatial" in report["scipy"]
+    assert "scipy.ndimage" not in report["scipy"]

@@ -202,7 +202,7 @@ class TestRunHalts:
         with pytest.raises(ValueError, match="unknown traversal order"):
             replay_outputs([ANSWER_EOS], 7, "xyz")
 
-    @pytest.mark.parametrize("bits", [0, 17, -1])
+    @pytest.mark.parametrize("bits", [0, 17, -1, True, False])  # a bool is not a bit count
     def test_unsupported_bits_rejected(self, bits):
         message = r"bits must be in \[1, 16\]"
         with pytest.raises(ValueError, match=message):

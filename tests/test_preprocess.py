@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meshtok import preprocess
 from meshtok.core import MeshReal, QuantizedMesh, dequantize_mesh, dequantized_vertex_array
@@ -17,7 +17,12 @@ from meshtok.preprocess import (
     run_preprocess,
 )
 from meshtok.procgen import cube, grid_patch, tetrahedron, torus, two_component_scene
-from helpers import reference_fill_triangles_2d, reference_quantize, winding_flipped
+from helpers import (
+    reference_cluster_count,
+    reference_fill_triangles_2d,
+    reference_quantize,
+    winding_flipped,
+)
 
 TRI = np.array([[0, 1, 2]])
 
@@ -198,16 +203,72 @@ class TestFillTriangles:
                     (name + "/augmented", quantize(normalize(moved), mesh.bits)),
                 ]
         got = [filter_mesh(mesh) for _, mesh in cases]
-        batched = preprocess._fill_triangles_2d
+        batched, counted = preprocess._fill_triangles_2d, preprocess._cluster_count
 
         def reference_checking_batched(tri2d, grid):
             mask = reference_fill_triangles_2d(tri2d, grid)
             assert np.array_equal(batched(tri2d, grid), mask)
+            assert counted(mask) == reference_cluster_count(mask)  # every axis, every mask
             return mask
 
         monkeypatch.setattr(preprocess, "_fill_triangles_2d", reference_checking_batched)
+        monkeypatch.setattr(preprocess, "_cluster_count", reference_cluster_count)
         for (name, mesh), decision in zip(cases, got):
             assert decision == filter_mesh(mesh), name
+
+
+class TestClusterCount:
+    """The run-based union-find against ``scipy.ndimage.label``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        h=st.integers(1, 40),
+        w=st.integers(1, 40),
+        kind=st.sampled_from(["random", "empty", "full", "diagonal"]),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(h=1, w=40, kind="random", density=0.5, seed=1)
+    @example(h=40, w=1, kind="random", density=0.5, seed=1)
+    def test_counts_equal_reference(self, h, w, kind, density, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((h, w)) < density
+        if kind == "empty":
+            mask[:] = False
+        elif kind == "full":
+            mask[:] = True
+        elif kind == "diagonal":  # one checkerboard colour: pixels touch only at corners
+            mask &= np.add.outer(np.arange(h), np.arange(w)) % 2 == 0
+        assert preprocess._cluster_count(mask) == reference_cluster_count(mask)
+
+    @pytest.mark.parametrize(
+        "rows, clusters",
+        [
+            (["#"], 1),
+            (["."], 0),
+            (["#.#.##"], 3),
+            (["#", ".", "#", "#"], 2),
+            (["#.", ".#"], 1),  # diagonal neighbours join
+            ([".#", "#."], 1),
+            (["#..", "..#"], 2),  # a one-pixel gap does not
+            (["#.#", ".#.", "#.#"], 1),
+            (["###", "..#", "###", "#..", "###"], 1),  # serpentine
+            (["#.#.#", ".....", "#.#.#"], 6),
+        ],
+        ids=["pixel", "blank", "row", "column", "diagonal", "antidiagonal", "gap", "cross",
+             "serpentine", "spaced"],
+    )
+    def test_small_masks(self, rows, clusters):
+        mask = np.array([[c == "#" for c in row] for row in rows])
+        assert preprocess._cluster_count(mask) == clusters == reference_cluster_count(mask)
+
+    def test_noise_and_comb_at_full_grid(self):
+        noise = np.random.default_rng(5).random((256, 256)) < 0.5
+        comb = np.zeros((256, 256), dtype=bool)
+        comb[::2] = True
+        comb[:, 0] = True  # one spine joins 128 rows
+        for mask in (noise, comb, comb.T, ~comb):
+            assert preprocess._cluster_count(mask) == reference_cluster_count(mask)
 
 
 class TestFilter:
@@ -316,6 +377,8 @@ class TestConfigValidation:
         [
             {"bits": 0},
             {"bits": 17},
+            {"bits": True},
+            {"bits": False},
             {"scale_low": 0.0},
             {"scale_low": 0.9, "scale_high": 0.8},
             {"scale_high": 1.2},
