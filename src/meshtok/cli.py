@@ -197,15 +197,25 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """An argparse type for sample counts: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for an integer >= ``low``, whose error names the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+# Sample counts; numpy's seeded generators take only seeds >= 0 (``fuzz``
+# seeds ``random.Random``, which takes any int).
+_count = _int_at_least(1)
+_seed = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("reference")
     p.add_argument("--samples", type=_count, default=10000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_metrics)
 
@@ -263,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-n", "--count", type=_count, default=8192)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=["xyz", "ply"], default="xyz")
     p.set_defaults(func=_cmd_sample_pc)
 
     p = sub.add_parser("augment", help="seeded scale and rotation augmentation")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--scale-low", type=float, default=0.75)
     p.add_argument("--scale-high", type=float, default=0.95)
     p.add_argument("--flip-prob", type=float, default=0.3)

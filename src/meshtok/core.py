@@ -8,6 +8,7 @@ cube ``[-0.5, 0.5]``. The z axis is treated as the height axis throughout; all
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -103,19 +104,26 @@ def dequantize_coord(q: int, bits: int) -> float:
     return (q + 0.5) / (1 << bits) - 0.5
 
 
+def face_array(mesh: QuantizedMesh) -> np.ndarray:
+    """The face vertex indices as an (m, 3) int64 array, read in one pass
+    over ``mesh.faces``. Raises OverflowError for an index beyond int64."""
+    flat = np.fromiter(chain.from_iterable(mesh.faces), np.int64, 3 * len(mesh.faces))
+    return flat.reshape(-1, 3)
+
+
+def vertex_array(mesh: QuantizedMesh) -> np.ndarray:
+    """The grid coordinates as an (n, 3) int64 array."""
+    flat = np.fromiter(chain.from_iterable(mesh.vertices), np.int64, 3 * len(mesh.vertices))
+    return flat.reshape(-1, 3)
+
+
 def dequantized_vertex_array(mesh: QuantizedMesh) -> np.ndarray:
     """All mesh vertices dequantized to an (n, 3) float64 array."""
-    if not mesh.vertices:
-        return np.zeros((0, 3), dtype=np.float64)
-    q = np.asarray(mesh.vertices, dtype=np.float64)
-    return (q + 0.5) / (1 << mesh.bits) - 0.5
+    return (vertex_array(mesh) + 0.5) / (1 << mesh.bits) - 0.5
 
 
 def dequantize_mesh(mesh: QuantizedMesh) -> MeshReal:
-    return MeshReal(
-        dequantized_vertex_array(mesh),
-        np.asarray([tuple(f) for f in mesh.faces], dtype=np.int64).reshape(-1, 3),
-    )
+    return MeshReal(dequantized_vertex_array(mesh), face_array(mesh))
 
 
 def validate_manifold(mesh: QuantizedMesh) -> ValidationReport:
@@ -126,7 +134,7 @@ def validate_manifold(mesh: QuantizedMesh) -> ValidationReport:
     simultaneously rules out edges shared by more than two faces and
     inconsistent winding between neighbors. Bowtie (vertex-nonmanifold)
     configurations are allowed; edge-based traversal does not need vertex
-    manifoldness. The report is the one ``halfedge.build`` makes in its walk.
+    manifoldness. The report is the one ``halfedge.build`` makes.
     """
     from .halfedge import build  # halfedge imports this module
 

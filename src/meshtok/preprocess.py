@@ -20,6 +20,7 @@ from .core import (
     QuantizedMesh,
     QuantizedVertex,
     dequantized_vertex_array,
+    face_array,
     require_valid_bits,
     validate_manifold,
 )
@@ -238,8 +239,7 @@ def filter_mesh(mesh: QuantizedMesh, cfg: Optional[PreprocessConfig] = None) -> 
         reasons.append(f"face_count:{len(mesh.faces)}>{cfg.max_faces}")
     if not validate_manifold(mesh).ok:
         reasons.append("manifold")
-    faces = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3)
-    tri3d = dequantized_vertex_array(mesh)[faces]  # (m, 3, 3)
+    tri3d = dequantized_vertex_array(mesh)[face_array(mesh)]  # (m, 3, 3)
     for axis, name in ((0, "x"), (1, "y"), (2, "z")):
         keep = [i for i in range(3) if i != axis]
         mask = _fill_triangles_2d(tri3d[:, :, keep], cfg.proj_grid)

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .core import InvalidMeshError, QuantizedMesh, QuantizedVertex, height_sort_key, valid_bits
+import numpy as np
+
+from .core import InvalidMeshError, QuantizedMesh, QuantizedVertex, valid_bits, vertex_array
 from . import halfedge
 
 # Step input kinds.
@@ -188,18 +190,18 @@ def encode(mesh: QuantizedMesh, order: str = DFS) -> TokenSequence:
     if not conn.report.ok:
         raise InvalidMeshError(conn.report)
     emit = [answer_vertex(p) for p in mesh.vertices]
-    # Every half-edge in (key(origin), origin, key(dest), dest) order, rank
-    # being a vertex's place in (height_sort_key, index) order. A component
-    # starts at the first half-edge of a face not yet visited; faces stay
-    # visited, so the cursor only moves forward.
+    # Every half-edge in (rank(origin), rank(dest)) order, rank being a
+    # vertex's place in (z, y, x, index) order; both sorts are stable, so
+    # ties keep index order. A component starts at the first half-edge of a
+    # face not yet visited; faces stay visited, so the cursor only moves
+    # forward.
     n = len(mesh.vertices)
-    rank = [0] * n
-    for r, v in enumerate(sorted(range(n), key=lambda v: (height_sort_key(mesh.vertices[v]), v))):
-        rank[v] = r
+    pos = vertex_array(mesh)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((pos[:, 0], pos[:, 1], pos[:, 2]))] = np.arange(n)
     origin, twin = conn.origin, conn.twin
-    starts = sorted(
-        range(len(origin)), key=lambda h: rank[origin[h]] * n + rank[origin[h - h % 3 + (h + 1) % 3]]
-    )
+    ends = rank[np.array(origin, dtype=np.int64).reshape(-1, 3)]
+    starts = np.argsort(ends * n + ends[:, [1, 2, 0]], axis=None, kind="stable").tolist()
     cursor = 0
     visited = [False] * len(mesh.faces)
     remaining = len(mesh.faces)

@@ -2,6 +2,7 @@
 
 The oracles here deliberately avoid the library's fast paths: components via
 union-find over shared edges, validation via a standalone directed-edge scan,
+half-edge connectivity via the face-order dict loop that preceded the sort,
 step records via the index-based traversal that ``encode`` runs, without the
 decoder's position-keyed machine,
 normal consistency via scalar all-pairs loops, point-to-triangle distance
@@ -29,6 +30,7 @@ from meshtok.core import (
     MeshReal,
     QuantizedMesh,
     QuantizedVertex,
+    ValidationReport,
     Violation,
     dequantize_coord,
     valid_bits,
@@ -50,6 +52,7 @@ from meshtok.sequencer import (
     TokenSequence,
     answer_vertex,
 )
+from meshtok.halfedge import HalfEdgeConnectivity
 from meshtok.metrics import point_to_triangle_distance
 from meshtok.preprocess import OutOfRangeError
 from meshtok.streamio import (
@@ -120,6 +123,54 @@ def reference_records(mesh: QuantizedMesh, order: str) -> list[StepRecord]:
             pending += [(a, c), (c, b)]
     records.append(StepRecord(SOS, None, EOS, None))
     return records
+
+
+# The face-order loop that ``halfedge.build`` replaced with one sort of the
+# directed-edge keys, kept verbatim as its reference.
+def reference_build(mesh: QuantizedMesh) -> HalfEdgeConnectivity:
+    """Construct connectivity and validate the mesh in the same walk.
+
+    Violations are reported in face order: a face with a missing or repeated
+    vertex index is reported once and contributes no half-edges to ``twin``;
+    every repeat of a directed edge names the first face that claimed it.
+    When ``report.ok`` is false the connectivity must not be traversed.
+    """
+    n_verts = len(mesh.vertices)
+    violations: list[Violation] = []
+    if not mesh.faces:
+        violations.append(Violation("no_faces", "mesh has no faces"))
+    origin: list[int] = []
+    twin = [-1] * (3 * len(mesh.faces))
+    by_edge: dict[int, int] = {}  # directed edge o->d, keyed o * n_verts + d
+    for fi, (a, b, c) in enumerate(mesh.faces):
+        origin += (a, b, c)
+        if not (0 <= a < n_verts and 0 <= b < n_verts and 0 <= c < n_verts):
+            violations.append(
+                Violation("index_out_of_range", f"face {fi} references a missing vertex")
+            )
+            continue
+        if a == b or b == c or a == c:
+            violations.append(
+                Violation("degenerate_face", f"face {fi} repeats a vertex index")
+            )
+            continue
+        h = 3 * fi
+        for o, d in ((a, b), (b, c), (c, a)):
+            first = by_edge.setdefault(o * n_verts + d, h)
+            if first != h:
+                violations.append(
+                    Violation(
+                        "duplicate_directed_edge",
+                        f"directed edge ({o},{d}) appears in faces {first // 3} and {fi}",
+                    )
+                )
+            else:
+                t = by_edge.get(d * n_verts + o)
+                if t is not None:
+                    twin[h] = t
+                    twin[t] = h
+            h += 1
+    return HalfEdgeConnectivity(origin, twin, ValidationReport(not violations, violations))
 
 
 def reference_violations(mesh: QuantizedMesh) -> list[Violation]:

@@ -306,6 +306,18 @@ def test_usage_error_exits_2(capsys):
             main(argv)
         assert err.value.code == 2
         assert f"argument {flag}: must be an integer >= 1" in capsys.readouterr().err
+    # So do negative seeds for the commands that seed numpy.
+    for argv in [
+        ["sample-pc", "a.obj", "-o", "pc.xyz", "--seed", "-1"],
+        ["augment", "a.obj", "-o", "a2.obj", "--seed", "-1"],
+        ["metrics", "a.obj", "b.obj", "--seed", "-1"],
+    ]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+    assert main(["fuzz", "--seed", "-1", "--max-steps", "5"]) == 0  # random.Random takes any int
 
 
 def test_parser_is_built_once_and_reused(capsys):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from hypothesis import given, settings, strategies as st
+
+from helpers import reference_build
 from meshtok.core import Face, QuantizedMesh, QuantizedVertex
 from meshtok import halfedge
 
@@ -93,3 +96,40 @@ def test_twin_agrees_with_face_list(corpus7):
                 assert (conn.origin[t], _dest(conn, t)) == (d, o) and conn.twin[t] == h, name
             else:
                 assert t == -1, name
+
+
+def _same_as_reference(mesh):
+    conn, ref = halfedge.build(mesh), reference_build(mesh)
+    assert (conn.origin, conn.twin, conn.report) == (ref.origin, ref.twin, ref.report)
+
+
+@st.composite
+def _index_soups(draw):
+    """Up to 7 vertices and 12 faces with indices in [-1, n]: empty meshes,
+    degenerate faces, repeated directed edges and missing vertices."""
+    n = draw(st.integers(0, 7))
+    index = st.integers(-1, n)
+    faces = draw(st.lists(st.builds(Face, index, index, index), max_size=12))
+    return _mesh(faces, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_index_soups())
+def test_build_matches_reference_loop(mesh):
+    _same_as_reference(mesh)
+
+
+def test_build_matches_reference_loop_on_fixtures(corpus7, corpus9):
+    for _, mesh in corpus7 + corpus9:
+        _same_as_reference(mesh)
+
+
+def test_index_beyond_int64_is_out_of_range():
+    mesh = _mesh([(0, 1, 2**70), (0, 1, 2), (-(2**70), 2, 1), (1, 0, 2)], 3)
+    conn = halfedge.build(mesh)
+    assert [(v.code, v.message) for v in conn.report.violations] == [
+        ("index_out_of_range", "face 0 references a missing vertex"),
+        ("index_out_of_range", "face 2 references a missing vertex"),
+    ]
+    assert conn.twin == [-1] * 3 + [9, 11, 10] + [-1] * 3 + [3, 5, 4]
+    _same_as_reference(mesh)

@@ -181,6 +181,25 @@ class TestStartRule:
         seq = encode(mesh)
         assert seq.records[0].output_vertex == verts[1]
 
+    def test_same_position_ties_fall_to_the_lower_index(self):
+        # Two tetrahedra whose lowest corners share a grid cell under vertex
+        # indices 0 and 4; the one at index 4 lists its faces first. The
+        # start is index 0's corner, then its own lowest neighbour.
+        verts = [
+            QuantizedVertex(10, 10, 10), QuantizedVertex(30, 10, 10),
+            QuantizedVertex(10, 30, 10), QuantizedVertex(10, 10, 30),
+            QuantizedVertex(10, 10, 10), QuantizedVertex(10, 10, 20),
+            QuantizedVertex(10, 20, 20), QuantizedVertex(20, 20, 20),
+        ]
+        tet = [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]
+        faces = [Face(*(i + 4 for i in f)) for f in tet] + [Face(*f) for f in tet]
+        mesh = QuantizedMesh(verts, faces, 7)
+        assert validate_manifold(mesh).ok
+        for order in ("dfs", "bfs"):
+            records = encode(mesh, order).records
+            assert records == reference_records(mesh, order), order
+            assert [r.output_vertex for r in records[:2]] == [verts[0], verts[1]], order
+
     def test_many_components_match_the_traversal(self):
         for seed in range(3):
             mesh = _tetrahedra(40, seed)
