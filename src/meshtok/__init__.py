@@ -15,7 +15,6 @@ from .core import (
     connected_components,
     dequantize_coord,
     dequantize_mesh,
-    height_sort_key,
     quantize_coord,
     validate_manifold,
 )

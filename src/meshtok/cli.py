@@ -14,7 +14,7 @@ import functools
 import sys
 from typing import Optional
 
-from .core import connected_components
+from .core import MAX_BITS, connected_components, valid_bits
 from .generator import (
     DesyncError,
     GeneratorConfig,
@@ -70,13 +70,7 @@ def _cmd_tokenize(args: argparse.Namespace) -> int:
 
 def _cmd_detokenize(args: argparse.Namespace) -> int:
     bits, order, answers = streamio.read_stream_answers(args.input)
-    result = replay_outputs(
-        answers,
-        bits,
-        order,
-        duplicate_check=not args.no_dup_check,
-        coerce_degenerate=True,
-    )
+    result = replay_outputs(answers, bits, order)
     write_obj(result.mesh, args.output)
     print(
         f"wrote {args.output}: vertices={len(result.mesh.vertices)} "
@@ -212,10 +206,21 @@ def _int_at_least(low: int):
     return parse
 
 
-# Sample counts; numpy's seeded generators take only seeds >= 0 (``fuzz``
-# seeds ``random.Random``, which takes any int).
+# Sample counts and step budgets; numpy's seeded generators take only seeds
+# >= 0 (``fuzz`` seeds ``random.Random``, which takes any int).
 _count = _int_at_least(1)
 _seed = _int_at_least(0)
+
+
+def _bits(text: str) -> int:
+    """An argparse type for a grid depth that ``valid_bits`` accepts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if not valid_bits(value):
+        raise argparse.ArgumentTypeError(f"must be an integer in [1, {MAX_BITS}], got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tokenize", help="OBJ to token stream")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--bits", type=int, default=7)
+    p.add_argument("--bits", type=_bits, default=7)
     p.add_argument("--order", choices=["dfs", "bfs"], default="dfs")
     p.add_argument("--text", action="store_true", help="write the JSON-lines form")
     p.set_defaults(func=_cmd_tokenize)
@@ -236,22 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detokenize", help="token stream to OBJ")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument(
-        "--no-dup-check",
-        action="store_true",
-        help="emit duplicate faces instead of coercing them to STOP",
-    )
     p.set_defaults(func=_cmd_detokenize)
 
     p = sub.add_parser("validate", help="check the half-edge traversal requirement")
     p.add_argument("input")
-    p.add_argument("--bits", type=int, default=7)
+    p.add_argument("--bits", type=_bits, default=7)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("preprocess", help="normalize, quantize, and screen a mesh")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--bits", type=int, default=7)
+    p.add_argument("--bits", type=_bits, default=7)
     p.add_argument("--max-faces", type=int, default=5500)
     p.add_argument("--proj-grid", type=int, default=256)
     p.add_argument("--proj-min-area", type=float, default=0.005)
@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="seeded random-predictor robustness run")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=10000)
-    p.add_argument("--bits", type=int, default=7)
+    p.add_argument("--max-steps", type=_count, default=10000)
+    p.add_argument("--bits", type=_bits, default=7)
     p.add_argument("--order", choices=["dfs", "bfs"], default="dfs")
     p.set_defaults(func=_cmd_fuzz)
 

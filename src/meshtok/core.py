@@ -45,11 +45,6 @@ def require_valid_bits(bits: int) -> None:
         raise ValueError(f"bits must be in [1, {MAX_BITS}]")
 
 
-def height_sort_key(v: QuantizedVertex) -> tuple[int, int, int]:
-    """Bottom-up vertex order: lexicographic on (z, y, x), z being height."""
-    return (v.z, v.y, v.x)
-
-
 @dataclass
 class QuantizedMesh:
     vertices: list[QuantizedVertex]

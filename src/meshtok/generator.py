@@ -8,10 +8,13 @@ callback for each answer and generates. Vertices are identified by quantized
 position: positions already seen are merged during assembly, and the output
 mesh is every emitted face over the union of seen vertices.
 
-Answers that would emit a face with a repeated vertex position are coerced
-to STOP, as are duplicate faces when the duplicate check is on. Coercions
-record STOP among the outputs, so transcripts always replay cleanly. A
-vertex outside the ``2**bits`` grid is an illegal answer.
+The machine is strict and has one behaviour: a vertex outside the
+``2**bits`` grid is an illegal answer, a vertex that repeats an endpoint of
+its edge is a DesyncError naming its step, and a repeated face is emitted as
+recorded. Only ``run``, which answers a sampler, adjusts proposals the way
+inference does: before the machine takes them, it turns a degenerate face,
+and a duplicate face when ``GeneratorConfig.duplicate_check`` is set, into
+STOP. Its transcripts record the STOP, so they replay cleanly.
 """
 
 from __future__ import annotations
@@ -91,20 +94,17 @@ class _Machine:
     interning lookup, for its new vertex.
     """
 
-    def __init__(self, bits: int, order: str, duplicate_check: bool, coerce_degenerate: bool):
+    def __init__(self, bits: int, order: str):
         if order not in (DFS, BFS):
             raise ValueError(f"unknown traversal order: {order!r}")
         require_valid_bits(bits)
         self.bits = bits
         self.order = order
-        self.duplicate_check = duplicate_check
-        self.coerce_degenerate = coerce_degenerate
         self.pending: deque[tuple[int, int]] = deque()
         self.take = self.pending.pop if order == DFS else self.pending.popleft
         self.vert_index: dict[QuantizedVertex, int] = {}
         self.verts: list[QuantizedVertex] = []
         self.faces: list[Face] = []
-        self.canonical: set[frozenset[int]] = set()
         self.cells = 1 << bits
         self.outputs: list[PredictorAnswer] = []
         self.component = 0
@@ -132,11 +132,16 @@ class _Machine:
             self.verts.append(v)
         return idx
 
+    def on_grid(self, v: QuantizedVertex) -> bool:
+        x, y, z = v
+        cells = self.cells
+        return 0 <= x < cells and 0 <= y < cells and 0 <= z < cells
+
     def answer(self, ans: PredictorAnswer) -> None:
-        """Take one answer: record it (after coercion) and advance."""
+        """Take one answer: record it and advance."""
         kind, v = ans
         if kind == VERTEX:
-            x, y, z = v
+            x, y, z = v  # on_grid, inlined on the replay path
             cells = self.cells
             if not (0 <= x < cells and 0 <= y < cells and 0 <= z < cells):
                 raise IllegalAnswerError(
@@ -145,7 +150,7 @@ class _Machine:
         mode = self.mode
         if mode == EDGE:
             if kind == VERTEX:
-                ans = self._face(ans)
+                self._face(v)
             elif kind != STOP:
                 raise IllegalAnswerError(f"step {self.step}: {kind} answers EDGE")
             if self.pending:
@@ -174,27 +179,17 @@ class _Machine:
         self.outputs.append(ans)
         self.step += 1
 
-    def _face(self, ans: PredictorAnswer) -> PredictorAnswer:
-        """Emit the face of the current edge and the answer's vertex; returns
-        the answer to record, STOP when the face is coerced."""
+    def _face(self, c: QuantizedVertex) -> None:
+        """Emit the face of the current edge and the vertex ``c``."""
         ia, ib = self.edge
-        c = ans.vertex
         ic = self.vert_index.get(c)
         if ia == ib or ic == ia or ic == ib:
-            if not self.coerce_degenerate:
-                raise DesyncError(f"step {self.step}: recorded vertex repeats an edge endpoint")
-            return ANSWER_STOP
+            raise DesyncError(f"step {self.step}: recorded vertex repeats an edge endpoint")
         if ic is None:
             ic = self.intern(c)
-        if self.duplicate_check:
-            key = frozenset((ia, ib, ic))
-            if key in self.canonical:
-                return ANSWER_STOP
-            self.canonical.add(key)
         self.faces.append(Face(ia, ib, ic))
         self.pending.append((ia, ic))
         self.pending.append((ic, ib))
-        return ans
 
     def result(self, halt: str) -> RunResult:
         mesh = QuantizedMesh(self.verts, self.faces, self.bits)
@@ -209,14 +204,38 @@ def run(predictor: Predictor, cfg: Optional[GeneratorConfig] = None) -> RunResul
     cfg = cfg or GeneratorConfig()
     if cfg.max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    m = _Machine(cfg.bits, cfg.order, cfg.duplicate_check, coerce_degenerate=True)
+    m = _Machine(cfg.bits, cfg.order)
+    emitted: Optional[set[frozenset[int]]] = set() if cfg.duplicate_check else None
     for _ in range(cfg.max_steps):
         v1 = m.verts[m.v1] if m.mode == SOS2 else None
         query = PredictorQuery(m.step, m.mode, m.component, len(m.pending), v1, m.input_edge())
-        m.answer(predictor(query))
+        ans = predictor(query)
+        if m.mode == EDGE and ans.kind == VERTEX and m.on_grid(ans.vertex):
+            ans = _adjust(m, ans, emitted)
+        m.answer(ans)
         if m.done:
             return m.result(HALT_EOS)
     return m.result(HALT_BUDGET)
+
+
+def _adjust(
+    m: _Machine, ans: PredictorAnswer, emitted: Optional[set[frozenset[int]]]
+) -> PredictorAnswer:
+    """The answer ``run`` gives the machine for an on-grid VERTEX answering
+    EDGE: STOP in place of a face that repeats a vertex, or of a face already
+    in ``emitted`` (the vertex-index sets of the faces emitted so far, kept
+    only when the duplicate check is on); else ``ans`` itself."""
+    ia, ib = m.edge
+    ic = m.vert_index.get(ans.vertex)
+    if ia == ib or ic == ia or ic == ib:
+        return ANSWER_STOP
+    if emitted is not None:
+        # A new vertex gets the next index, so its face is new.
+        key = frozenset((ia, ib, len(m.verts) if ic is None else ic))
+        if key in emitted:
+            return ANSWER_STOP
+        emitted.add(key)
+    return ans
 
 
 def decode(seq: TokenSequence) -> QuantizedMesh:
@@ -231,21 +250,17 @@ def decode(seq: TokenSequence) -> QuantizedMesh:
     return replay_outputs(seq.outputs, seq.bits, seq.order).mesh
 
 
-def replay_outputs(
-    answers: list[PredictorAnswer],
-    bits: int,
-    order: str = DFS,
-    duplicate_check: bool = False,
-    coerce_degenerate: bool = False,
-) -> RunResult:
+def replay_outputs(answers: list[PredictorAnswer], bits: int, order: str = DFS) -> RunResult:
     """Drive the machine with recorded outputs alone, deriving all inputs.
 
-    This is how output-only streams are given structure again. Raises
-    DesyncError when the machine halts before consuming every answer or runs
-    out of answers before reaching EOS, IllegalAnswerError when an answer
-    does not fit the input the machine derived for it.
+    This is how output-only streams are given structure again; every face a
+    VERTEX output emits is kept as recorded, repeats included. Raises
+    DesyncError when the machine halts before consuming every answer, runs
+    out of answers before reaching EOS, or takes a vertex that repeats an
+    endpoint of its edge; IllegalAnswerError when an answer does not fit the
+    input the machine derived for it.
     """
-    machine = _Machine(bits, order, duplicate_check, coerce_degenerate)
+    machine = _Machine(bits, order)
     answer = machine.answer
     for a in answers:
         answer(a)

@@ -107,14 +107,25 @@ def _point_segment_distance(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> fl
     return float(np.linalg.norm(p - (s0 + t * d)))
 
 
+def _edge_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    return min(
+        _point_segment_distance(p, a, b),
+        _point_segment_distance(p, b, c),
+        _point_segment_distance(p, c, a),
+    )
+
+
 def point_to_triangle_distance(p, tri) -> float:
     """Exact distance from a point to a closed triangle (face, edge, or
-    vertex region, following the standard closest-point region walk)."""
+    vertex region, following the standard closest-point region walk); a
+    zero-area triangle is measured by its edges."""
     p = np.asarray(p, dtype=np.float64)
     tri = np.asarray(tri, dtype=np.float64).reshape(3, 3)
     a, b, c = tri
     ab = b - a
     ac = c - a
+    if not np.cross(ab, ac).any():  # zero area: the triangle is its edges
+        return _edge_distance(p, a, b, c)
     ap = p - a
     d1 = float(np.dot(ab, ap))
     d2 = float(np.dot(ac, ap))
@@ -143,12 +154,8 @@ def point_to_triangle_distance(p, tri) -> float:
         t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
         return float(np.linalg.norm(p - (b + t * (c - b))))
     denom = va + vb + vc
-    if denom <= 0.0:  # degenerate triangle: fall back to its edges
-        return min(
-            _point_segment_distance(p, a, b),
-            _point_segment_distance(p, b, c),
-            _point_segment_distance(p, c, a),
-        )
+    if denom <= 0.0:  # rounding left no area: fall back to the edges
+        return _edge_distance(p, a, b, c)
     v = vb / denom
     w = vc / denom
     return float(np.linalg.norm(p - (a + v * ab + w * ac)))

@@ -89,7 +89,7 @@ class TokenSequence:
         """
         from .generator import _Machine  # generator imports this module
 
-        machine = _Machine(self.bits, self.order, duplicate_check=False, coerce_degenerate=False)
+        machine = _Machine(self.bits, self.order)
         records = []
         for answer in self.outputs:
             records.append(StepRecord(machine.mode, machine.input_edge(), *answer))

@@ -14,7 +14,8 @@ return its ``SequenceStats``. ``read_stream_answers`` returns the header
 fields and the outputs: exactly one EOS is allowed and it must be last;
 trailing bytes, out-of-range coordinates and text that is not UTF-8 are
 rejected with FormatError. Whether the outputs form a transcript the
-machine can replay is for ``generator.replay_outputs`` to decide.
+machine can replay is for ``generator.replay_outputs`` to decide; that replay
+is strict, keeps every recorded face and adjusts no answer.
 
 Token stream (text): one JSON object per line, same information as binary.
     {"magic":"TMTS","bits":7,"order":"dfs"}

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +13,12 @@ import pytest
 
 from meshtok import cli, generator, halfedge, sequencer
 from meshtok.cli import main
+from meshtok.core import Face, QuantizedMesh, QuantizedVertex
+from meshtok.generator import DesyncError, decode
 from meshtok.preprocess import quantize
 from meshtok.procgen import tetrahedron, torus, two_component_scene
-from meshtok.streamio import read_obj, write_obj
+from meshtok.sequencer import TokenSequence, answer_vertex, encode
+from meshtok.streamio import read_obj, write_obj, write_stream
 from helpers import canonical_faces
 
 
@@ -40,9 +45,6 @@ def test_tokenize_detokenize_roundtrip(tmp_path, tetra_obj):
     restored = quantize(read_obj(out), 7)
     assert canonical_faces(restored) == canonical_faces(original)
     # Composition through files equals the library-level decode(encode(.)).
-    from meshtok.generator import decode
-    from meshtok.sequencer import encode
-
     assert restored == decode(encode(original))
 
 
@@ -57,13 +59,63 @@ def test_tokenize_text_form_roundtrip(tmp_path, tetra_obj):
     )
 
 
-def test_detokenize_no_dup_check_matches_on_encoder_streams(tmp_path, tetra_obj):
-    stream = tmp_path / "t.tmts"
-    main(["tokenize", str(tetra_obj), "-o", str(stream)])
-    a, b = tmp_path / "a.obj", tmp_path / "b.obj"
-    assert main(["detokenize", str(stream), "-o", str(a)]) == 0
-    assert main(["detokenize", str(stream), "-o", str(b), "--no-dup-check"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("order", ["dfs", "bfs"])
+def test_detokenize_and_stats_replay_like_decode(tmp_path, capsys, order):
+    # detokenize and stats replay a stream as decode does: a face answer
+    # that repeats an endpoint of its edge fails at its own step, and a
+    # repeated face is kept as recorded.
+    mesh = quantize(torus(10, 8), 7)
+    seq = encode(mesh, order)
+    stream, out, expected_obj = tmp_path / "s.tmts", tmp_path / "out.obj", tmp_path / "expected.obj"
+    write_stream(seq, stream)
+    assert main(["detokenize", str(stream), "-o", str(out)]) == 0
+    write_obj(decode(seq), expected_obj)
+    assert out.read_bytes() == expected_obj.read_bytes()
+    out.unlink()
+    steps = [i for i, r in enumerate(seq.records) if r.input_kind == "edge" and r.output_kind == "vertex"]
+    assert 14 in steps
+    for i in (steps[0], 14, steps[-1]):
+        for endpoint in seq.records[i].input_edge:
+            bad = TokenSequence(seq.bits, order, list(seq.outputs))
+            bad.outputs[i] = answer_vertex(endpoint)
+            with pytest.raises(DesyncError) as exc:
+                decode(bad)
+            assert str(exc.value) == f"step {i}: recorded vertex repeats an edge endpoint"
+            write_stream(bad, stream)
+            capsys.readouterr()
+            for argv in (["detokenize", str(stream), "-o", str(out)], ["stats", str(stream)]):
+                assert main(argv) == 2, argv[0]
+                assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+            assert not out.exists()
+    # The last face step's edge has an emitted face on its far side; answer
+    # that face's third vertex to emit it again, with the other winding.
+    i = steps[-1]
+    edge = set(seq.records[i].input_edge)
+    corners = [{mesh.vertices[j] for j in f} for f in mesh.faces]
+    (far,) = [c for c in corners if edge < c and seq.outputs[i].vertex not in c]
+    again = TokenSequence(seq.bits, order, list(seq.outputs))
+    again.outputs[i] = answer_vertex((far - edge).pop())
+    expected = decode(again)
+    assert len(expected.faces) == 160
+    assert len(set(map(frozenset, expected.faces))) == 159
+    write_stream(again, stream)
+    assert main(["detokenize", str(stream), "-o", str(out)]) == 0
+    write_obj(expected, expected_obj)
+    assert out.read_bytes() == expected_obj.read_bytes()
+
+
+def test_detokenize_keeps_opposite_winding_double_faces(tmp_path):
+    # Two faces over one vertex set are a valid mesh; its encoder stream
+    # detokenizes to both faces.
+    verts = [QuantizedVertex(0, 0, 0), QuantizedVertex(10, 0, 0), QuantizedVertex(0, 10, 0)]
+    pillow = QuantizedMesh(verts, [Face(0, 1, 2), Face(0, 2, 1)], 7)
+    stream, out, expected_obj = tmp_path / "p.tmts", tmp_path / "p.obj", tmp_path / "expected.obj"
+    write_stream(encode(pillow), stream)
+    assert main(["detokenize", str(stream), "-o", str(out)]) == 0
+    restored = decode(encode(pillow))
+    assert canonical_faces(restored) == canonical_faces(pillow)
+    write_obj(restored, expected_obj)
+    assert out.read_bytes() == expected_obj.read_bytes()
 
 
 def test_stats_line_for_single_triangle(tmp_path, triangle_obj, capsys):
@@ -272,9 +324,12 @@ def test_fuzz_deterministic_output(capsys):
 
 @pytest.mark.parametrize("bits", ["0", "17", "-1"])
 def test_fuzz_rejects_unsupported_bits(capsys, bits):
-    assert main(["fuzz", "--seed", "1", "--bits", bits]) == 2
+    with pytest.raises(SystemExit) as err:
+        main(["fuzz", "--seed", "1", "--bits", bits])
+    assert err.value.code == 2
     out = capsys.readouterr()
-    assert (out.out, out.err) == ("", "error: bits must be in [1, 16]\n")
+    assert out.out == ""
+    assert f"argument --bits: must be an integer in [1, 16], got '{bits}'" in out.err
 
 
 def test_corrupt_stream_is_a_format_error(tmp_path):
@@ -300,12 +355,33 @@ def test_usage_error_exits_2(capsys):
         (["metrics", "a.obj", "b.obj", "--samples", "0"], "--samples"),
         (["sample-pc", "a.obj", "-o", "pc.xyz", "-n", "-1"], "-n/--count"),
         (["sample-pc", "a.obj", "-o", "pc.xyz", "--count", "0"], "-n/--count"),
+        (["fuzz", "--seed", "1", "--max-steps", "0"], "--max-steps"),
+        (["fuzz", "--seed", "1", "--max-steps", "x"], "--max-steps"),
     ]:
         capsys.readouterr()
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
         assert f"argument {flag}: must be an integer >= 1" in capsys.readouterr().err
+    # A bit count outside [1, 16] fails at parsing, before any file is read
+    # (the inputs named here do not exist).
+    for argv in [
+        ["tokenize", "absent.obj", "-o", "t.tmts", "--bits", "17"],
+        ["validate", "absent.obj", "--bits", "0"],
+        ["preprocess", "absent.obj", "-o", "c.obj", "--bits", "7.5"],
+        ["fuzz", "--seed", "1", "--bits", "-1"],
+    ]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        message = f"argument --bits: must be an integer in [1, 16], got '{argv[-1]}'"
+        assert message in capsys.readouterr().err
+    # detokenize replays verbatim and has no duplicate-check switch.
+    with pytest.raises(SystemExit) as err:
+        main(["detokenize", "s.tmts", "-o", "out.obj", "--no-dup-check"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --no-dup-check" in capsys.readouterr().err
     # So do negative seeds for the commands that seed numpy.
     for argv in [
         ["sample-pc", "a.obj", "-o", "pc.xyz", "--seed", "-1"],
@@ -331,6 +407,33 @@ def test_parser_is_built_once_and_reused(capsys):
             main(["fuzz", "--help"])
         assert err.value.code == 0
         assert "--max-steps" in capsys.readouterr().out
+
+
+def _readme_cli_block() -> dict[str, str]:
+    """README's CLI block as {command: its text, continuation lines included}."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands: dict[str, str] = {}
+    name = None
+    for line in block.splitlines():
+        if line.startswith("meshtok "):
+            name = line.split()[1]
+        commands[name] = commands.get(name, "") + line + "\n"
+    return commands
+
+
+def test_readme_cli_block_matches_the_parser():
+    documented = _readme_cli_block()
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(documented) == set(subparsers.choices)
+    for name, parser in subparsers.choices.items():
+        text = documented[name]
+        shown = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", text))
+        options = {s for a in parser._actions if a.option_strings for s in a.option_strings}
+        assert shown <= options, (name, shown - options)
+        for action in parser._actions:
+            if action.option_strings and action.dest != "help":
+                assert shown & set(action.option_strings), (name, action.option_strings)
 
 
 # Runs CLI commands in a fresh interpreter and prints, as its last line, the

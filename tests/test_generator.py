@@ -132,6 +132,29 @@ class TestRunCoercions:
         assert len(result.mesh.faces) == 0
         assert result.transcript.records[2].output_kind == STOP
 
+    def test_off_grid_vertex_is_illegal_before_any_coercion(self):
+        # The start edge repeats its vertex, so an on-grid face answer is
+        # coerced to STOP, but an off-grid one is still an illegal answer.
+        start = [answer_vertex(V1), answer_vertex(V1)]
+        result = run(_script(*start, answer_vertex(C), ANSWER_STOP, ANSWER_EOS))
+        assert result.transcript.outputs == [*start, ANSWER_STOP, ANSWER_STOP, ANSWER_EOS]
+        assert result.mesh.faces == []
+        with pytest.raises(IllegalAnswerError, match="step 2: .*7-bit grid"):
+            run(_script(*start, answer_vertex(QuantizedVertex(0, 0, 128))))
+
+    def test_replay_keeps_what_run_coerces(self):
+        # The same answers replayed: the duplicate face is kept as recorded,
+        # the degenerate one fails at its step.
+        dup = [
+            answer_vertex(V1), answer_vertex(V2), answer_vertex(C), answer_vertex(V1),
+            ANSWER_STOP, ANSWER_STOP, ANSWER_STOP, ANSWER_STOP, ANSWER_EOS,
+        ]
+        assert len(replay_outputs(dup, 7).mesh.faces) == 2
+        for degenerate in ([V1, V2, V1], [V1, V1, C]):
+            answers = [*map(answer_vertex, degenerate), ANSWER_STOP, ANSWER_EOS]
+            with pytest.raises(DesyncError, match="step 2: recorded vertex repeats an edge endpoint"):
+                replay_outputs(answers, 7)
+
     def test_edge_conflict_allowed_when_disabled(self):
         answers = [
             answer_vertex(V1), answer_vertex(V2), answer_vertex(C),
@@ -253,10 +276,8 @@ class TestReplayOutputs:
             answer_vertex(V1), answer_vertex(V2), answer_vertex(V1),
             ANSWER_STOP, ANSWER_EOS,
         ]
-        with pytest.raises(DesyncError):
+        with pytest.raises(DesyncError, match="step 2: recorded vertex repeats an edge endpoint"):
             replay_outputs(answers, 7)
-        result = replay_outputs(answers, 7, coerce_degenerate=True)
-        assert len(result.mesh.faces) == 0
 
 
 class TestFuzzPredictor:

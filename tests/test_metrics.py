@@ -120,9 +120,17 @@ class TestPointToTriangle:
         assert point_to_triangle_distance(p, TRI) == pytest.approx(expected, abs=1e-12)
 
     def test_degenerate_triangle_falls_back_to_edges(self):
-        collinear = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], float)
-        assert point_to_triangle_distance([1.0, 1.0, 0.0], collinear) == pytest.approx(1.0)
-        assert point_to_triangle_distance([3.0, 0.0, 0.0], collinear) == pytest.approx(1.0)
+        collinear = [[0, 0, 0], [1, 0, 0], [2, 0, 0]]
+        # Two coincident corners, in each of the three places (a == b, b == c, a == c).
+        coincident = [
+            [[0, 0, 0], [0, 0, 0], [2, 0, 0]],
+            [[2, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 0, 0], [2, 0, 0], [0, 0, 0]],
+        ]
+        for tri in [collinear, *coincident]:
+            tri = np.array(tri, float)
+            assert point_to_triangle_distance([1.0, 1.0, 0.0], tri) == pytest.approx(1.0)
+            assert point_to_triangle_distance([3.0, 0.0, 0.0], tri) == pytest.approx(1.0)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)

@@ -361,17 +361,10 @@ def test_byte_mutations_read_cleanly_or_raise_format_error(tmp_path, tetra, orde
             bits, got_order, answers = read_stream_answers(path)
         except FormatError:
             return
-        for strict in (True, False):
-            try:
-                replay_outputs(
-                    answers,
-                    bits,
-                    got_order,
-                    duplicate_check=not strict,
-                    coerce_degenerate=not strict,
-                )
-            except (DesyncError, IllegalAnswerError):
-                pass
+        try:
+            replay_outputs(answers, bits, got_order)
+        except (DesyncError, IllegalAnswerError):
+            pass
 
     check()
 
