@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 
+from meshtok.cli import _bits
 from meshtok.core import connected_components
 from meshtok.preprocess import quantize
 from meshtok.procgen import big_torus, fixture_corpus
@@ -20,7 +21,7 @@ from meshtok.sequencer import encode, sequence_stats
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--bits", type=int, default=7)
+    parser.add_argument("--bits", type=_bits, default=7)
     parser.add_argument("--order", choices=["dfs", "bfs"], default="dfs")
     args = parser.parse_args()
 

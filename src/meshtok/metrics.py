@@ -167,9 +167,12 @@ def _triangle_distances(
     """Exact distance from each point ``p[i]`` to the closed triangle
     ``(a[i], b[i], c[i])``; the row-wise form of ``point_to_triangle_distance``.
     Rows are the leading axes of (..., 3) arrays and broadcast, so points
-    (n, 1, 3) against triangles (m, 3) give the (n, m) grid."""
+    (n, 1, 3) against triangles (m, 3) give the (n, m) grid. A zero-area
+    triangle (cross product exactly zero) is measured by its edges."""
     ab = b - a
     ac = c - a
+    (x0, x1, x2), (y0, y1, y2) = np.moveaxis(ab, -1, 0), np.moveaxis(ac, -1, 0)
+    flat = (x1 * y2 - x2 * y1 == 0.0) & (x2 * y0 - x0 * y2 == 0.0) & (x0 * y1 - x1 * y0 == 0.0)
     ap = p - a
     bp = p - b
     cp = p - c
@@ -214,7 +217,22 @@ def _triangle_distances(
     closest = np.where(r3[..., None], a + t3[..., None] * ab, closest)
     closest = np.where(r2[..., None], b, closest)
     closest = np.where(r1[..., None], a, closest)
-    return np.linalg.norm(p - closest, axis=-1)
+    dist = np.linalg.norm(p - closest, axis=-1)
+    if flat.any():
+        rows = np.broadcast_to(flat, dist.shape)
+        p, a, b, c = (np.broadcast_to(x, dist.shape + (3,))[rows] for x in (p, a, b, c))
+        edges = ((a, b), (b, c), (c, a))
+        dist[rows] = np.minimum.reduce([_segment_distances(p, s0, s1) for s0, s1 in edges])
+    return dist
+
+
+def _segment_distances(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Row-wise ``_point_segment_distance`` over (k, 3) arrays."""
+    d = s1 - s0
+    denom = np.einsum("ij,ij->i", d, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(denom == 0.0, 0.0, np.clip(np.einsum("ij,ij->i", p - s0, d) / denom, 0.0, 1.0))
+    return np.linalg.norm(p - (s0 + t[:, None] * d), axis=1)
 
 
 def _blocks(sizes: np.ndarray):

@@ -134,23 +134,59 @@ def _fill_triangles_2d(tri2d: np.ndarray, grid: int) -> np.ndarray:
     triangle's bbox widened by half a pixel are tested: the tolerance scales
     with edge length, so a sliver would otherwise claim centers beyond its
     bbox. Triangles with |area| < 1e-12 (pixel units) draw nothing.
-    Triangles of similar bbox size are rasterized together, padded to the
-    batch's largest bbox; padded centers are NaN, which fails every test.
+
+    The counter-clockwise triangles are drawn first. On a closed surface they
+    already cover almost every pixel that the clockwise ones would set, so a
+    clockwise triangle is drawn only when its bbox still holds an unset pixel,
+    which a summed-area table of the first round's mask tells; a triangle sets
+    no pixel outside its bbox, so the mask is the same. With only one winding
+    present, every triangle is drawn.
     """
     mask = np.zeros((grid, grid), dtype=bool)
     px = (tri2d + 0.5) * grid  # (m, 3, 2) in pixel units
-    eps = 1e-6
     a, b, c = px[:, 0], px[:, 1], px[:, 2]
     area = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
     lo = np.clip(np.floor(np.minimum(np.minimum(a, b), c) - 0.5).astype(int), 0, grid - 1)
     hi = np.clip(np.ceil(np.maximum(np.maximum(a, b), c) + 0.5).astype(int), 0, grid)
     size = hi - lo  # (m, 2) bbox width and height in pixels
     keep = (np.abs(area) >= 1e-12) & (size[:, 0] > 0) & (size[:, 1] > 0)
-    idx = np.flatnonzero(keep)
+    ccw = np.flatnonzero(keep & (area > 0))
+    cw = np.flatnonzero(keep & (area < 0))
+    _draw_triangles(mask, ccw, px, area, lo, size)
+    if len(ccw) and len(cw):
+        cw = cw[_unset_in_box(mask, lo[cw], hi[cw])]
+    _draw_triangles(mask, cw, px, area, lo, size)
+    return mask
+
+
+def _unset_in_box(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per box ``[lo, hi)`` of ``mask`` (both (k, 2), non-empty): does it
+    hold an unset pixel? Read off an int32 summed-area table with a zero
+    first row and column; int64 only where a count could overflow int32."""
+    grid = mask.shape[0]
+    sat = np.zeros((grid + 1, grid + 1), dtype=np.int32 if grid * grid < 2**31 else np.int64)
+    sat[1:, 1:] = mask
+    np.cumsum(sat, axis=0, out=sat)
+    np.cumsum(sat, axis=1, out=sat)
+    (x0, y0), (x1, y1) = lo.T, hi.T
+    filled = sat[x1, y1] - sat[x0, y1] - sat[x1, y0] + sat[x0, y0]
+    return filled < (x1 - x0) * (y1 - y0)
+
+
+def _draw_triangles(
+    mask: np.ndarray, idx: np.ndarray, px: np.ndarray, area: np.ndarray, lo: np.ndarray, size: np.ndarray
+) -> None:
+    """OR the triangles ``px[idx]`` (pixel units, of signed ``area``, bbox
+    ``lo`` + ``size``) into ``mask``. Triangles of similar bbox size are
+    rasterized together, padded to the batch's largest bbox; padded centers
+    are NaN, which fails every test."""
+    eps = 1e-6
     idx = idx[np.lexsort((size[idx, 1], size[idx, 0]))]
+    a, b, c = px[idx, 0], px[idx, 1], px[idx, 2]
+    lo, size = lo[idx], size[idx]
     # Negating both products of an edge function negates their difference
     # exactly, so the sign flip for clockwise triangles costs no pixel work.
-    sign = np.where(area < 0, -1.0, 1.0)
+    sign = np.where(area[idx] < 0, -1.0, 1.0)
     # Edge i runs from vertex p to q: w_i = (q.x - p.x)(y - p.y) - (q.y - p.y)(x - p.x).
     edges = ((a, b), (b, c), (c, a))
     dx = [sign * (q[:, 0] - p[:, 0]) for p, q in edges]
@@ -160,11 +196,11 @@ def _fill_triangles_2d(tri2d: np.ndarray, grid: int) -> np.ndarray:
     # the longest batch within budget.
     start = 0
     while start < len(idx):
-        rows = idx[start : start + _PIXEL_BUDGET]  # a batch holds at most one triangle per pixel
-        width, height = size[rows, 0], np.maximum.accumulate(size[rows, 1])
-        padded = np.arange(1, len(rows) + 1) * width * height
+        width = size[start : start + _PIXEL_BUDGET, 0]  # at most one triangle per pixel
+        height = np.maximum.accumulate(size[start : start + _PIXEL_BUDGET, 1])
+        padded = np.arange(1, len(width) + 1) * width * height
         n = max(1, int(np.searchsorted(padded, _PIXEL_BUDGET, side="right")))
-        rows = rows[:n]
+        rows = slice(start, start + n)
         start += n
         offs_x, offs_y = np.arange(width[n - 1]), np.arange(height[n - 1])
         gx = np.where(offs_x < size[rows, 0:1], lo[rows, 0:1] + offs_x + 0.5, np.nan)[:, :, None]
@@ -175,12 +211,11 @@ def _fill_triangles_2d(tri2d: np.ndarray, grid: int) -> np.ndarray:
             w = ex[rows][:, None, None] * (gy - oy) - ey[rows][:, None, None] * (gx - ox)
             inside &= w >= -eps
         if n == 1:  # unpadded: OR the block in place, no index lists
-            (x0, y0), (sx, sy) = lo[rows[0]], size[rows[0]]
+            (x0, y0), (sx, sy) = lo[rows][0], size[rows][0]
             mask[x0 : x0 + sx, y0 : y0 + sy] |= inside[0]
             continue
         t, i, j = np.nonzero(inside)
-        mask[lo[rows[t], 0] + i, lo[rows[t], 1] + j] = True
-    return mask
+        mask[lo[rows][t, 0] + i, lo[rows][t, 1] + j] = True
 
 
 def _cluster_count(mask: np.ndarray) -> int:

@@ -30,15 +30,17 @@ output, and a grid has few distinct coordinates. So the stream parsers parse
 each distinct text line, or each distinct 6 coordinate bytes, once and look
 their repeats up; ``write_text_stream`` formats each distinct answer once, and
 ``write_obj`` each distinct grid coordinate and face index. ``read_obj``
-streams the file line by line into flat lists and checks finiteness and the
-index range once, on the whole lists. Every error still names the first bad
-line or record, exactly as a record-by-record reader would.
+streams the file line by line into flat lists, parses each distinct vertex
+line of an unwelded file once, and checks finiteness and the index range
+once, on the whole lists. Every error still names the first bad line or
+record, exactly as a record-by-record reader would.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from itertools import chain
 from pathlib import Path
 from typing import Union
 
@@ -111,25 +113,44 @@ class _Once(dict):
 # --- Wavefront OBJ -----------------------------------------------------------
 
 
+# Vertex lines read before ``read_obj`` stops looking for repeats when none
+# of them repeats an earlier one.
+_MEMO_TRIAL = 1024
+
+
 def read_obj(path: Union[str, Path], fan_triangulate: bool = True) -> MeshReal:
     """Parse `v` and `f` lines (1-based indices, `a/b/c` references allowed);
     everything else is ignored. Polygons are fan-triangulated unless disabled.
 
-    The file is read line by line into flat lists of coordinates and 1-based
-    indices. Lines of three or four plain indices take a fast path; anything
-    else is parsed token by token. Finiteness and the index range are checked
-    once, on the whole lists, and the ObjParseError raised is always the one
-    for the first bad line in file order: a bad coordinate, a non-finite
-    coordinate or a zero or negative index wherever it is, then a face that
-    references a missing vertex.
+    The file is read as UTF-8, a leading byte-order mark skipped, line by
+    line into flat lists of coordinates and 1-based indices. A vertex line
+    that repeats an earlier one, as every shared corner of an unwelded file
+    does, reuses that line's coordinates; when the first _MEMO_TRIAL vertex
+    lines are all distinct, the file is taken as welded and lines are no
+    longer looked up. Lines of three or four plain indices take a fast path;
+    anything else is parsed token by token. Finiteness and the index range
+    are checked once, on the whole lists, and the ObjParseError raised is
+    always the one for the first bad line in file order: a bad coordinate, a
+    non-finite coordinate or a zero or negative index wherever it is, then a
+    face that references a missing vertex.
     """
     coords: list[float] = []
     vert_lines: list[int] = []  # line of each vertex
     corners: list[int] = []  # 1-based indices, three per triangle
     face_lines: list[int] = []  # line of each triangle
+    # Vertex line -> its coordinates; None once the first _MEMO_TRIAL vertex
+    # lines turned out all distinct.
+    seen: dict[str, tuple[float, float, float]] | None = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
+            first = fh.readline().removeprefix("\ufeff")  # skip a byte-order mark
+            for lineno, raw in enumerate(chain((first,), fh), 1):
+                if seen is not None:
+                    xyz = seen.get(raw)
+                    if xyz is not None:
+                        coords += xyz
+                        vert_lines.append(lineno)
+                        continue
                 parts = raw.split()
                 if not parts:
                     continue
@@ -138,11 +159,15 @@ def read_obj(path: Union[str, Path], fan_triangulate: bool = True) -> MeshReal:
                     if len(parts) < 4:
                         raise ObjParseError("vertex needs three coordinates", lineno)
                     try:
-                        x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+                        xyz = float(parts[1]), float(parts[2]), float(parts[3])
                     except ValueError:
                         raise ObjParseError("bad vertex coordinate", lineno) from None
-                    coords += (x, y, z)
+                    coords += xyz
                     vert_lines.append(lineno)
+                    if seen is not None:
+                        seen[raw] = xyz
+                        if len(vert_lines) == _MEMO_TRIAL and len(seen) == _MEMO_TRIAL:
+                            seen = None  # a welded file: its lines do not repeat
                 elif kw == "f":
                     n = len(parts)
                     if (n == 4 or n == 5 and fan_triangulate) and "/" not in raw:

@@ -138,6 +138,23 @@ def test_validate_accepts_and_rejects(tmp_path, tetra_obj, capsys):
     assert "duplicate_directed_edge" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("unused", [True, False], ids=["unused_vertex", "all_used"])
+def test_validate_reads_past_a_byte_order_mark(tmp_path, tetra_obj, capsys, unused):
+    # Were the mark read as part of the first keyword, the first vertex line
+    # would be lost: with a fifth, unused vertex every face would silently
+    # move by one vertex, without one a face would reference a missing one.
+    lines = tetra_obj.read_text().splitlines(keepends=True)
+    if unused:
+        lines.insert(4, "v 0.4 0.4 0.4\n")
+    plain, marked = tmp_path / "plain.obj", tmp_path / "marked.obj"
+    plain.write_text("".join(lines), encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(["validate", str(plain)]) == 0
+    want = capsys.readouterr().out
+    assert main(["validate", str(marked)]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_tokenize_rejects_invalid_mesh(tmp_path, capsys):
     bad = tmp_path / "bad.obj"
     bad.write_text("v 0 0 0\nv 0.1 0 0\nv 0 0.1 0\nv 0 0 0.1\nf 1 2 3\nf 1 2 4\n")

@@ -26,6 +26,7 @@ from meshtok.sequencer import (
     answer_vertex,
     sequence_stats,
 )
+from meshtok import streamio
 from meshtok.streamio import (
     _parse_stream_bytes,
     _parse_text_stream,
@@ -104,9 +105,13 @@ def _obj_line(draw, n_verts: int) -> str:
 
 
 @st.composite
-def _obj_files(draw) -> bytes:
+def _obj_files(draw, repeats: bool = False) -> bytes:
     n_verts = draw(st.integers(3, 9))
-    lines = draw(st.lists(_obj_line(n_verts), max_size=24))
+    if repeats:  # lines drawn from a small pool, as an unwelded file repeats its vertices
+        pool = draw(st.lists(_obj_line(n_verts), min_size=1, max_size=8))
+        lines = draw(st.lists(st.sampled_from(pool), max_size=24))
+    else:
+        lines = draw(st.lists(_obj_line(n_verts), max_size=24))
     body = "".join(line + draw(_ENDS) for line in lines)
     if draw(st.booleans()):
         body = body.rstrip("\r\n")  # no end on the last line
@@ -128,6 +133,62 @@ def test_read_obj_matches_reference(tmp_path, data, fan):
     _compare_read_obj(tmp_path / "m.obj", data, fan)
 
 
+@SETTINGS
+@given(data=_obj_files(repeats=True), fan=st.booleans(), trial=st.sampled_from([1, 2, 3, 5, 1024]))
+def test_read_obj_with_repeated_lines_matches_reference(tmp_path, monkeypatch, data, fan, trial):
+    # A small give-up point exercises both a memo that is kept and one that
+    # is dropped after the first vertex lines turn out distinct.
+    monkeypatch.setattr(streamio, "_MEMO_TRIAL", trial)
+    _compare_read_obj(tmp_path / "m.obj", data, fan)
+
+
+_QUAD_CORNERS = ["v 0 0 0\n", "v 1 0 0\n", "v 1 1 0\n", "v 0 1 0\n", "v 0 0 1\n", "v 1 0 1\n"]
+_UNWELDED = "".join(_QUAD_CORNERS[i] for i in (0, 1, 2, 3, 1, 5, 2, 4)) + "f 1 2 3 4\nf 5 6 7 8\n"
+# 1,100 distinct vertex lines run past the give-up point; then repeats of the
+# first ones, parsed again, and a face over both.
+_WELDED = "".join(f"v {i} {i / 8} {-i}\n" for i in range(1100))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _UNWELDED,
+        _UNWELDED.replace("\n", "\r\n"),  # CRLF line ends
+        _UNWELDED + "v 0 1 0",  # the last line repeats a vertex but has no end
+        "v 0 0 0\nv 1 0 0\nv 1 0 0\nv 0 0 x\nv 1 0 0\nv 0 0 x\n",  # a repeated bad coordinate
+        "v 0 0 0\nv 0 0 nan\nv 1 0 0\nv 0 0 nan\nf 1 3 4\nf 1 2 3\n",  # nan at its first line
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 -4\nv 0 0 inf\nv 0 0 inf\n",
+        "v 0 0 0 1\nv 1 0 0 1\nv 0 0 0 1\nv 0 1 0 1 x\nv 0 1 0 1 x\nf 1 2 4\nf 3 5 2\n",  # extra tokens
+        "v 0 0 0\n v 0 0 0\nv 0 0 0 \nv  0 0 0\n\tv 0 0 0\nf 1 2 3\nf 3 4 5\n",  # same vertex, other text
+        "v 1 2\nv 1 2\n",  # too few coordinates, twice
+        _UNWELDED + "f 1 2 9\n",  # a missing vertex after repeats
+        _WELDED + "v 0 0 0\nv 1 0.125 -1\nf 1 1101 1102\nf 2 1102 1101\n",
+        _WELDED + "v 3 0.375 -3\nv nan 0 0\nv nan 0 0\nf 1 2 1104\n",
+        "v 0 0 0\n" * 2000 + _WELDED + "f 1 2 3000\n",  # repeats from the start: the memo stays
+    ],
+    ids=[
+        "unwelded", "crlf", "no_final_end", "bad_coord", "nan", "inf_after_faces", "extra_tokens",
+        "other_text", "too_few", "missing_vertex", "welded", "welded_nan", "repeats_then_welded",
+    ],
+)
+@pytest.mark.parametrize("fan", [True, False])
+def test_read_obj_repeated_vertex_lines_match_reference(tmp_path, text, fan):
+    _compare_read_obj(tmp_path / "m.obj", text.encode("utf-8"), fan)
+
+
+@pytest.mark.parametrize("fan", [True, False])
+def test_read_obj_skips_a_byte_order_mark(tmp_path, fan):
+    # A leading byte-order mark is no part of the first line's keyword.
+    path = tmp_path / "m.obj"
+    for text in ("v 0 0 0\n", _UNWELDED, "v 0 0 x\nf 1 2 3\n", "f 1 2 3\n", ""):
+        path.write_bytes(text.encode("utf-8"))
+        want = _outcome(reference_read_obj, path, fan)
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert _outcome(read_obj, path, fan) == want
+    for data in (b"\xef", b"\xef\xbb", b"\xef\xbbv 0 0 0\n"):  # a cut mark is not UTF-8
+        _compare_read_obj(path, data, fan)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -138,7 +199,6 @@ def test_read_obj_matches_reference(tmp_path, data, fan):
         "v 0 0 0\nv inf 1 0\nf 1 2 -3\n",
         "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 7\nf 1 2 3 4 9\nf 3 2 1\n",
         "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 2 3 0\nf 1/1 2 -1\n",
-        "\ufeffv 0 0 0\n",  # a byte-order mark is no keyword
         "",
     ],
 )

@@ -255,6 +255,34 @@ class TestClosestFaces:
             assert point_to_triangle_distance(p, TRI) == pytest.approx(d, abs=1e-12)
 
 
+    def test_zero_area_faces_match_the_scalar(self):
+        # Two coincident corners in each of the three places, then collinear
+        # corners: every row is measured by its edges, as the scalar does.
+        flat = [
+            [[0, 0, 0], [0, 0, 0], [2, 0, 0]],
+            [[2, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 0, 0], [2, 0, 0], [0, 0, 0]],
+            [[0, 0, 0], [1, 0, 0], [2, 0, 0]],
+        ]
+        rng = np.random.default_rng(28)
+        pts = np.concatenate([[[1.0, 1.0, 0.0], [3.0, 0.0, 0.0]], rng.uniform(-2, 3, size=(40, 3))])
+        for tri in np.array(flat, float):
+            dists, idxs = closest_faces(pts, *tri[:, None])
+            assert dists[:2] == pytest.approx([1.0, 1.0], abs=1e-12)
+            assert (idxs == 0).all()
+            for p, d in zip(pts, dists):
+                assert d == pytest.approx(point_to_triangle_distance(p, tri), abs=1e-12)
+        # A mixed batch: the flat rows among proper triangles, each distance
+        # the scalar's minimum and each pick a face at that distance.
+        tris = np.concatenate([flat, [TRI], rng.uniform(-2, 3, size=(6, 3, 3))])
+        tris = tris[rng.permutation(len(tris))]
+        dists, idxs = closest_faces(pts, tris[:, 0], tris[:, 1], tris[:, 2])
+        for p, d, i in zip(pts, dists, idxs):
+            scalar = [point_to_triangle_distance(p, tri) for tri in tris]
+            assert d == pytest.approx(min(scalar), abs=1e-12)
+            assert scalar[i] == pytest.approx(min(scalar), abs=1e-9)
+
+
 class TestNormalConsistency:
     def test_self_is_exactly_one(self):
         for mesh in (dequantize_mesh(quantize(icosphere(1), 7)),

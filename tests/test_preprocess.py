@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from meshtok import preprocess
-from meshtok.core import MeshReal, QuantizedMesh, dequantize_mesh, dequantized_vertex_array
+from meshtok.core import MeshReal, QuantizedMesh, dequantize_mesh, dequantized_vertex_array, face_array
 from meshtok.preprocess import (
     DegenerateExtentError,
     OutOfRangeError,
@@ -16,7 +16,16 @@ from meshtok.preprocess import (
     quantize,
     run_preprocess,
 )
-from meshtok.procgen import cube, grid_patch, tetrahedron, torus, two_component_scene
+from meshtok.procgen import (
+    big_torus,
+    cube,
+    disk_fan,
+    grid_patch,
+    open_cylinder,
+    tetrahedron,
+    torus,
+    two_component_scene,
+)
 from helpers import (
     reference_cluster_count,
     reference_fill_triangles_2d,
@@ -163,6 +172,17 @@ def _soup(rng: np.random.Generator, kind: int, m: int) -> np.ndarray:
     return rng.integers(0, 2 * grid + 1, size=(m, 3, 2)) / (2 * grid) - 0.5
 
 
+def _projections(mesh: QuantizedMesh) -> list[np.ndarray]:
+    """The (m, 3, 2) triangles that ``filter_mesh`` rasterizes per axis."""
+    tri3d = dequantized_vertex_array(mesh)[face_array(mesh)]
+    return [tri3d[:, :, [i for i in range(3) if i != axis]] for axis in range(3)]
+
+
+def _signed_areas(tri: np.ndarray) -> np.ndarray:
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+
+
 class TestFillTriangles:
     """The batched rasterizer against the per-triangle loop it replaced."""
 
@@ -191,6 +211,51 @@ class TestFillTriangles:
             got = preprocess._fill_triangles_2d(tri, grid)
             assert got.shape == (grid, grid) and not got.any()
             assert np.array_equal(got, reference_fill_triangles_2d(tri, grid))
+
+    def test_mesh_projections_equal_reference(self, corpus7):
+        # Closed and open corpus meshes in both windings, and open meshes
+        # off the corpus, on every axis: clockwise triangles drawn only where
+        # the counter-clockwise ones left a pixel unset give the same mask.
+        meshes = [mesh for _, mesh in corpus7] + [
+            quantize(normalize(mesh), 7) for mesh in (grid_patch(9, 7), disk_fan(20), open_cylinder(24, 6))
+        ]
+        for mesh in meshes:
+            for winding in (mesh, winding_flipped(mesh)):
+                for tri in _projections(winding):
+                    for grid in (7, 256):
+                        got = preprocess._fill_triangles_2d(tri, grid)
+                        assert np.array_equal(got, reference_fill_triangles_2d(tri, grid))
+
+    @pytest.mark.parametrize("winding", [1.0, -1.0], ids=["ccw", "cw"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_winding_soups_equal_reference(self, seed, winding):
+        rng = np.random.default_rng(seed)
+        tri = _soup(rng, seed % 4, int(rng.integers(0, 48)))
+        wrong = winding * _signed_areas(tri) < 0
+        tri[wrong] = tri[wrong][:, ::-1]
+        for grid in (1, 7, 64, 256):
+            got = preprocess._fill_triangles_2d(tri, grid)
+            assert np.array_equal(got, reference_fill_triangles_2d(tri, grid))
+
+    def test_clockwise_round_skips_covered_triangles(self, monkeypatch):
+        # On a closed torus the counter-clockwise triangles leave few bboxes
+        # with an unset pixel: the second round draws under half of the
+        # clockwise triangles, and the mask is the reference's.
+        drawn = []
+        draw = preprocess._draw_triangles
+
+        def counting(mask, idx, *args):
+            drawn.append(len(idx))
+            draw(mask, idx, *args)
+
+        monkeypatch.setattr(preprocess, "_draw_triangles", counting)
+        for tri in _projections(quantize(normalize(big_torus()), 7)):
+            drawn.clear()
+            got = preprocess._fill_triangles_2d(tri, 256)
+            assert np.array_equal(got, reference_fill_triangles_2d(tri, 256))
+            area = _signed_areas(tri)
+            assert drawn[0] == np.count_nonzero(area > 0)
+            assert drawn[1] < np.count_nonzero(area < 0) / 2
 
     def test_filter_decisions_and_masks_equal_reference(self, corpus7, corpus9, monkeypatch):
         cases = [("cube", quantize(normalize(cube()), 7))]
