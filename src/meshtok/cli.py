@@ -29,9 +29,8 @@ from .preprocess import (
     OutOfRangeError,
     PreprocessConfig,
     augment,
-    filter_mesh,
-    normalize,
     quantize,
+    run_preprocess,
 )
 from .sequencer import InvalidMeshError, MalformedSequenceError, encode, sequence_stats
 from . import streamio
@@ -103,8 +102,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         proj_grid=args.proj_grid,
         proj_min_area=args.proj_min_area,
     )
-    mesh = quantize(normalize(read_obj(args.input)), cfg.bits)
-    decision = filter_mesh(mesh, cfg)
+    mesh, decision = run_preprocess(read_obj(args.input), cfg)
     if not decision.accept:
         print("rejected: " + " ".join(decision.reasons))
         return 1

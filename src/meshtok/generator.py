@@ -40,6 +40,7 @@ from .sequencer import (
     EdgePositions,
     PredictorAnswer,
     TokenSequence,
+    _on_grid,
     answer_vertex,
     check_well_formed,
 )
@@ -132,16 +133,11 @@ class _Machine:
             self.verts.append(v)
         return idx
 
-    def on_grid(self, v: QuantizedVertex) -> bool:
-        x, y, z = v
-        cells = self.cells
-        return 0 <= x < cells and 0 <= y < cells and 0 <= z < cells
-
     def answer(self, ans: PredictorAnswer) -> None:
         """Take one answer: record it and advance."""
         kind, v = ans
         if kind == VERTEX:
-            x, y, z = v  # on_grid, inlined on the replay path
+            x, y, z = v  # sequencer._on_grid, inlined on the replay path
             cells = self.cells
             if not (0 <= x < cells and 0 <= y < cells and 0 <= z < cells):
                 raise IllegalAnswerError(
@@ -210,7 +206,7 @@ def run(predictor: Predictor, cfg: Optional[GeneratorConfig] = None) -> RunResul
         v1 = m.verts[m.v1] if m.mode == SOS2 else None
         query = PredictorQuery(m.step, m.mode, m.component, len(m.pending), v1, m.input_edge())
         ans = predictor(query)
-        if m.mode == EDGE and ans.kind == VERTEX and m.on_grid(ans.vertex):
+        if m.mode == EDGE and ans.kind == VERTEX and _on_grid(ans.vertex, m.cells):
             ans = _adjust(m, ans, emitted)
         m.answer(ans)
         if m.done:

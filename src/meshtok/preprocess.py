@@ -40,7 +40,6 @@ class PreprocessConfig:
     max_faces: int = 5500
     proj_grid: int = 256
     proj_min_area: float = 0.005
-    seed: int = 0
     scale_low: float = 0.75
     scale_high: float = 0.95
     flip_prob: float = 0.3
@@ -292,7 +291,7 @@ _ROT_Y_POS = np.array([[0, 0, 1], [0, 1, 0], [-1, 0, 0]], dtype=np.float64)
 _ROT_Y_NEG = _ROT_Y_POS.T
 
 
-def augment(mesh: MeshReal, cfg: Optional[PreprocessConfig] = None, seed: Optional[int] = None) -> MeshReal:
+def augment(mesh: MeshReal, cfg: Optional[PreprocessConfig] = None, seed: int = 0) -> MeshReal:
     """Seeded geometric augmentation, a pure function of (mesh, cfg, seed).
 
     In order: independent per-axis scaling drawn from [scale_low, scale_high];
@@ -301,7 +300,7 @@ def augment(mesh: MeshReal, cfg: Optional[PreprocessConfig] = None, seed: Option
     in +/- z_rot_max_degrees.
     """
     cfg = cfg or PreprocessConfig()
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     scales = rng.uniform(cfg.scale_low, cfg.scale_high, size=3)
     v = mesh.vertices * scales
     if rng.random() < cfg.flip_prob:
@@ -322,5 +321,7 @@ def run_preprocess(
 ) -> tuple[QuantizedMesh, AcceptDecision]:
     """normalize -> quantize -> filter, the standard intake path."""
     cfg = cfg or PreprocessConfig()
-    quantized = quantize(normalize(mesh), cfg.bits)
-    return quantized, filter_mesh(quantized, cfg)
+    # Rebinding ``mesh`` lets an input the caller does not keep be freed
+    # before filter_mesh.
+    mesh = quantize(normalize(mesh), cfg.bits)
+    return mesh, filter_mesh(mesh, cfg)

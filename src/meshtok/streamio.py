@@ -30,15 +30,16 @@ output, and a grid has few distinct coordinates. So the stream parsers parse
 each distinct text line, or each distinct 6 coordinate bytes, once and look
 their repeats up; ``write_text_stream`` formats each distinct answer once, and
 ``write_obj`` each distinct grid coordinate and face index. ``read_obj``
-streams the file line by line into flat lists, parses each distinct vertex
-line of an unwelded file once, and checks finiteness and the index range
-once, on the whole lists. Every error still names the first bad line or
-record, exactly as a record-by-record reader would.
+streams the file line by line into flat lists, checks each line as it reads
+it and parses each distinct vertex line of an unwelded file once. Every
+error still names the first bad line or record, exactly as a
+record-by-record reader would.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from itertools import chain
 from pathlib import Path
@@ -89,10 +90,6 @@ class ObjParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-class NonTriangleError(ObjParseError):
-    pass
-
-
 class EmptyMeshError(ValueError):
     pass
 
@@ -118,92 +115,85 @@ class _Once(dict):
 _MEMO_TRIAL = 1024
 
 
-def read_obj(path: Union[str, Path], fan_triangulate: bool = True) -> MeshReal:
+def read_obj(path: Union[str, Path]) -> MeshReal:
     """Parse `v` and `f` lines (1-based indices, `a/b/c` references allowed);
-    everything else is ignored. Polygons are fan-triangulated unless disabled.
+    everything else is ignored. Polygons are fan-triangulated.
 
     The file is read as UTF-8, a leading byte-order mark skipped, line by
-    line into flat lists of coordinates and 1-based indices. A vertex line
-    that repeats an earlier one, as every shared corner of an unwelded file
-    does, reuses that line's coordinates; when the first _MEMO_TRIAL vertex
-    lines are all distinct, the file is taken as welded and lines are no
-    longer looked up. Lines of three or four plain indices take a fast path;
-    anything else is parsed token by token. Finiteness and the index range
-    are checked once, on the whole lists, and the ObjParseError raised is
-    always the one for the first bad line in file order: a bad coordinate, a
-    non-finite coordinate or a zero or negative index wherever it is, then a
-    face that references a missing vertex.
+    line into flat lists of coordinates and 1-based indices, and each line is
+    checked as it is read. A vertex line that repeats an earlier one, as
+    every shared corner of an unwelded file does, reuses that line's checked
+    coordinates; when the first _MEMO_TRIAL vertex lines are all distinct,
+    the file is taken as welded and lines are no longer looked up. Lines of
+    three or four plain indices, all at least 1, take a fast path; any other
+    face line is parsed token by token. A face that references a missing
+    vertex is reported once the whole file is read.
     """
     coords: list[float] = []
-    vert_lines: list[int] = []  # line of each vertex
     corners: list[int] = []  # 1-based indices, three per triangle
     face_lines: list[int] = []  # line of each triangle
     # Vertex line -> its coordinates; None once the first _MEMO_TRIAL vertex
     # lines turned out all distinct.
     seen: dict[str, tuple[float, float, float]] | None = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline().removeprefix("\ufeff")  # skip a byte-order mark
-            for lineno, raw in enumerate(chain((first,), fh), 1):
-                if seen is not None:
-                    xyz = seen.get(raw)
-                    if xyz is not None:
-                        coords += xyz
-                        vert_lines.append(lineno)
-                        continue
-                parts = raw.split()
-                if not parts:
-                    continue
-                kw = parts[0]
-                if kw == "v":
-                    if len(parts) < 4:
-                        raise ObjParseError("vertex needs three coordinates", lineno)
-                    try:
-                        xyz = float(parts[1]), float(parts[2]), float(parts[3])
-                    except ValueError:
-                        raise ObjParseError("bad vertex coordinate", lineno) from None
+    isfinite = math.isfinite
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline().removeprefix("\ufeff")  # skip a byte-order mark
+        for lineno, raw in enumerate(chain((first,), fh), 1):
+            if seen is not None:
+                xyz = seen.get(raw)
+                if xyz is not None:
                     coords += xyz
-                    vert_lines.append(lineno)
-                    if seen is not None:
-                        seen[raw] = xyz
-                        if len(vert_lines) == _MEMO_TRIAL and len(seen) == _MEMO_TRIAL:
-                            seen = None  # a welded file: its lines do not repeat
-                elif kw == "f":
-                    n = len(parts)
-                    if (n == 4 or n == 5 and fan_triangulate) and "/" not in raw:
-                        try:
-                            if n == 4:
-                                a, b, c = int(parts[1]), int(parts[2]), int(parts[3])
+                    continue
+            parts = raw.split()
+            if not parts:
+                continue
+            kw = parts[0]
+            if kw == "v":
+                if len(parts) < 4:
+                    raise ObjParseError("vertex needs three coordinates", lineno)
+                try:
+                    x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+                except ValueError:
+                    raise ObjParseError("bad vertex coordinate", lineno) from None
+                if not (isfinite(x) and isfinite(y) and isfinite(z)):
+                    raise ObjParseError("non-finite vertex coordinate", lineno)
+                xyz = x, y, z
+                coords += xyz
+                if seen is not None:
+                    seen[raw] = xyz
+                    if len(seen) == _MEMO_TRIAL and len(coords) == 3 * _MEMO_TRIAL:
+                        seen = None  # a welded file: its lines do not repeat
+            elif kw == "f":
+                n = len(parts)
+                if (n == 4 or n == 5) and "/" not in raw:
+                    try:
+                        if n == 4:
+                            a, b, c = int(parts[1]), int(parts[2]), int(parts[3])
+                            if a > 0 and b > 0 and c > 0:
                                 corners += (a, b, c)
                                 face_lines.append(lineno)
-                            else:
-                                a, b, c, d = map(int, parts[1:])
+                                continue
+                        else:
+                            a, b, c, d = map(int, parts[1:])
+                            if a > 0 and b > 0 and c > 0 and d > 0:
                                 corners += (a, b, c, a, c, d)
                                 face_lines += (lineno, lineno)
-                            continue
-                        except ValueError:
-                            pass  # the token-by-token parse names the bad token
-                    idx = _face_indices(parts, lineno, fan_triangulate)
-                    for k in range(1, len(idx) - 1):
-                        corners += (idx[0], idx[k], idx[k + 1])
-                        face_lines.append(lineno)
-    except (ObjParseError, UnicodeDecodeError):
-        # Every line read so far precedes the failing one.
-        error = _first_deferred_error(np.array(coords), vert_lines, corners, face_lines)
-        if error is None:
-            raise
-        raise error from None
-    xyz = np.array(coords, dtype=np.float64)
-    error = _first_deferred_error(xyz, vert_lines, corners, face_lines)
-    if error is not None:
-        raise error
-    if corners and max(corners) > len(vert_lines):
-        first = next(i for i, q in enumerate(corners) if q > len(vert_lines))
+                                continue
+                    except ValueError:
+                        pass  # the token-by-token parse names the bad token
+                idx = _face_indices(parts, lineno)
+                for k in range(1, len(idx) - 1):
+                    corners += (idx[0], idx[k], idx[k + 1])
+                    face_lines.append(lineno)
+    n_verts = len(coords) // 3
+    if corners and max(corners) > n_verts:
+        first = next(i for i, q in enumerate(corners) if q > n_verts)
         raise ObjParseError("face references a missing vertex", face_lines[first // 3])
-    return MeshReal(xyz.reshape(-1, 3), (np.array(corners, dtype=np.int64) - 1).reshape(-1, 3))
+    xyz = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    return MeshReal(xyz, (np.array(corners, dtype=np.int64) - 1).reshape(-1, 3))
 
 
-def _face_indices(parts: list[str], lineno: int, fan_triangulate: bool) -> list[int]:
+def _face_indices(parts: list[str], lineno: int) -> list[int]:
     """The 1-based indices of one `f` line, checked token by token."""
     idx: list[int] = []
     for token in parts[1:]:
@@ -219,30 +209,7 @@ def _face_indices(parts: list[str], lineno: int, fan_triangulate: bool) -> list[
         idx.append(value)
     if len(idx) < 3:
         raise ObjParseError("face needs at least three vertices", lineno)
-    if len(idx) > 3 and not fan_triangulate:
-        raise NonTriangleError(f"{len(idx)}-gon with fan triangulation disabled", lineno)
     return idx
-
-
-def _first_deferred_error(
-    xyz: np.ndarray, vert_lines: list[int], corners: list[int], face_lines: list[int]
-) -> ObjParseError | None:
-    """The error for the earliest line holding a non-finite coordinate or a
-    face index below 1, or None. Fast-path faces are checked here rather than
-    as they are read; a fan lists a line's indices in their order of first
-    appearance, so its first index below 1 is the line's first such token."""
-    errors = []
-    if not np.isfinite(xyz).all():
-        first = int(np.argmin(np.isfinite(xyz))) // 3
-        errors.append(ObjParseError("non-finite vertex coordinate", vert_lines[first]))
-    if corners and min(corners) < 1:
-        first = next(i for i, q in enumerate(corners) if q < 1)
-        if corners[first] < 0:
-            message = "negative indices are not supported"
-        else:
-            message = "face indices are 1-based"
-        errors.append(ObjParseError(message, face_lines[first // 3]))
-    return min(errors, key=lambda e: e.line, default=None)
 
 
 def write_obj(mesh: Union[QuantizedMesh, MeshReal], path: Union[str, Path]) -> None:

@@ -60,7 +60,6 @@ from meshtok.streamio import (
     VERSION,
     EmptyMeshError,
     FormatError,
-    NonTriangleError,
     ObjParseError,
     _OP_EOS,
     _OP_STOP,
@@ -315,7 +314,9 @@ def dense_closest_triangles_chunk(
     p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closest-point distances from points (n,3) to triangles
-    (m,3); returns per-point (min distance, argmin index)."""
+    (m,3); returns per-point (min distance, argmin index). A zero-area
+    triangle is measured by its edges, as ``point_to_triangle_distance``
+    does."""
     ab = b - a
     ac = c - a
     ap = p[:, None, :] - a[None, :, :]
@@ -364,12 +365,30 @@ def dense_closest_triangles_chunk(
     closest = np.where(r1[..., None], np.broadcast_to(a[None, :, :], closest.shape), closest)
 
     dist = np.linalg.norm(p[:, None, :] - closest, axis=2)
+    # A zero-area triangle (cross product exactly zero) is its three edges.
+    flat = ~np.cross(ab, ac).any(axis=1)
+    if flat.any():
+        q = p[:, None, :]
+        a, b, c = a[flat], b[flat], c[flat]
+        edges = ((a, b), (b, c), (c, a))
+        dist[:, flat] = np.minimum.reduce([_dense_segment_distances(q, s0, s1) for s0, s1 in edges])
     # Ties (coincident faces, shared closest edges) go to the lowest face
     # index; the window absorbs accumulation-order noise between equally
     # distant faces.
     dmin = dist.min(axis=1)
     idx = np.argmax(dist <= (dmin + TIE_EPS)[:, None], axis=1)
     return dist[np.arange(len(p)), idx], idx
+
+
+def _dense_segment_distances(q: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Distances from points (n, 1, 3) to segments (k, 3), as (n, k); a
+    zero-length segment is its point."""
+    d = s1 - s0
+    denom = np.einsum("kj,kj->k", d, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(np.einsum("nkj,kj->nk", q - s0, d) / denom, 0.0, 1.0)
+    t = np.where(denom == 0.0, 0.0, t)
+    return np.linalg.norm(q - (s0 + t[..., None] * d), axis=2)
 
 
 def dense_closest_faces(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -477,9 +496,9 @@ def reference_cluster_count(mask: np.ndarray) -> int:
 # results, write the same bytes and raise the same errors. Only the names
 # differ, and the writers check the sequence with ``reference_walk``.
 
-def reference_read_obj(path: Union[str, Path], fan_triangulate: bool = True) -> MeshReal:
+def reference_read_obj(path: Union[str, Path]) -> MeshReal:
     """Parse `v` and `f` lines (1-based indices, `a/b/c` references allowed);
-    everything else is ignored. Polygons are fan-triangulated unless disabled."""
+    everything else is ignored. Polygons are fan-triangulated."""
     verts: list[tuple[float, float, float]] = []
     faces: list[tuple[int, int, int]] = []
     face_lines: list[int] = []
@@ -515,10 +534,6 @@ def reference_read_obj(path: Union[str, Path], fan_triangulate: bool = True) -> 
                     idx.append(value - 1)
                 if len(idx) < 3:
                     raise ObjParseError("face needs at least three vertices", lineno)
-                if len(idx) > 3 and not fan_triangulate:
-                    raise NonTriangleError(
-                        f"{len(idx)}-gon with fan triangulation disabled", lineno
-                    )
                 for k in range(1, len(idx) - 1):
                     faces.append((idx[0], idx[k], idx[k + 1]))
                     face_lines.append(lineno)

@@ -122,24 +122,35 @@ def _obj_files(draw, repeats: bool = False) -> bytes:
     return data
 
 
-def _compare_read_obj(path: Path, data: bytes, fan: bool) -> None:
+def _compare_read_obj(path: Path, data: bytes) -> None:
     path.write_bytes(data)
-    assert _outcome(read_obj, path, fan) == _outcome(reference_read_obj, path, fan)
+    assert _outcome(read_obj, path) == _outcome(reference_read_obj, path)
+
+
+# Each named case runs with the vertex-line memo as it ships (True) and with
+# the memo given up after the first vertex line, so that every line is parsed
+# (False).
+_MEMO = pytest.mark.parametrize("memo", [True, False])
+
+
+def _set_memo(monkeypatch, memo: bool) -> None:
+    if not memo:
+        monkeypatch.setattr(streamio, "_MEMO_TRIAL", 1)
 
 
 @SETTINGS
-@given(data=_obj_files(), fan=st.booleans())
-def test_read_obj_matches_reference(tmp_path, data, fan):
-    _compare_read_obj(tmp_path / "m.obj", data, fan)
+@given(data=_obj_files())
+def test_read_obj_matches_reference(tmp_path, data):
+    _compare_read_obj(tmp_path / "m.obj", data)
 
 
 @SETTINGS
-@given(data=_obj_files(repeats=True), fan=st.booleans(), trial=st.sampled_from([1, 2, 3, 5, 1024]))
-def test_read_obj_with_repeated_lines_matches_reference(tmp_path, monkeypatch, data, fan, trial):
+@given(data=_obj_files(repeats=True), trial=st.sampled_from([1, 2, 3, 5, 1024]))
+def test_read_obj_with_repeated_lines_matches_reference(tmp_path, monkeypatch, data, trial):
     # A small give-up point exercises both a memo that is kept and one that
     # is dropped after the first vertex lines turn out distinct.
     monkeypatch.setattr(streamio, "_MEMO_TRIAL", trial)
-    _compare_read_obj(tmp_path / "m.obj", data, fan)
+    _compare_read_obj(tmp_path / "m.obj", data)
 
 
 _QUAD_CORNERS = ["v 0 0 0\n", "v 1 0 0\n", "v 1 1 0\n", "v 0 1 0\n", "v 0 0 1\n", "v 1 0 1\n"]
@@ -171,22 +182,24 @@ _WELDED = "".join(f"v {i} {i / 8} {-i}\n" for i in range(1100))
         "other_text", "too_few", "missing_vertex", "welded", "welded_nan", "repeats_then_welded",
     ],
 )
-@pytest.mark.parametrize("fan", [True, False])
-def test_read_obj_repeated_vertex_lines_match_reference(tmp_path, text, fan):
-    _compare_read_obj(tmp_path / "m.obj", text.encode("utf-8"), fan)
+@_MEMO
+def test_read_obj_repeated_vertex_lines_match_reference(tmp_path, monkeypatch, text, memo):
+    _set_memo(monkeypatch, memo)
+    _compare_read_obj(tmp_path / "m.obj", text.encode("utf-8"))
 
 
-@pytest.mark.parametrize("fan", [True, False])
-def test_read_obj_skips_a_byte_order_mark(tmp_path, fan):
+@_MEMO
+def test_read_obj_skips_a_byte_order_mark(tmp_path, monkeypatch, memo):
+    _set_memo(monkeypatch, memo)
     # A leading byte-order mark is no part of the first line's keyword.
     path = tmp_path / "m.obj"
     for text in ("v 0 0 0\n", _UNWELDED, "v 0 0 x\nf 1 2 3\n", "f 1 2 3\n", ""):
         path.write_bytes(text.encode("utf-8"))
-        want = _outcome(reference_read_obj, path, fan)
+        want = _outcome(reference_read_obj, path)
         path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        assert _outcome(read_obj, path, fan) == want
+        assert _outcome(read_obj, path) == want
     for data in (b"\xef", b"\xef\xbb", b"\xef\xbbv 0 0 0\n"):  # a cut mark is not UTF-8
-        _compare_read_obj(path, data, fan)
+        _compare_read_obj(path, data)
 
 
 @pytest.mark.parametrize(
@@ -202,9 +215,10 @@ def test_read_obj_skips_a_byte_order_mark(tmp_path, fan):
         "",
     ],
 )
-@pytest.mark.parametrize("fan", [True, False])
-def test_read_obj_examples_match_reference(tmp_path, text, fan):
-    _compare_read_obj(tmp_path / "m.obj", text.encode("utf-8"), fan)
+@_MEMO
+def test_read_obj_examples_match_reference(tmp_path, monkeypatch, text, memo):
+    _set_memo(monkeypatch, memo)
+    _compare_read_obj(tmp_path / "m.obj", text.encode("utf-8"))
 
 
 @pytest.mark.parametrize("bad", ["v 0 0 nan\n", "f 1 0 2\n", ""])
@@ -213,7 +227,7 @@ def test_read_obj_error_before_undecodable_text_in_a_later_block(tmp_path, bad):
     # before a decoding error in a block that the line does not share.
     good = "v 0.125 0.25 0.5\n" * 2000
     data = ("v 0 0 0\n" + bad + good + "f 1 2 3\n").encode() + b"v \xff 0 0\n"
-    _compare_read_obj(tmp_path / "m.obj", data, True)
+    _compare_read_obj(tmp_path / "m.obj", data)
 
 
 # --- token-stream readers ----------------------------------------------------

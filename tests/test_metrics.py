@@ -282,6 +282,30 @@ class TestClosestFaces:
             assert d == pytest.approx(min(scalar), abs=1e-12)
             assert scalar[i] == pytest.approx(min(scalar), abs=1e-9)
 
+    @pytest.mark.parametrize("budget", [40, None])
+    def test_zero_area_faces_match_dense(self, monkeypatch, budget):
+        # Coincident corners in each place, all three coincident, exactly
+        # collinear corners and near-collinear ones, among proper triangles.
+        if budget is not None:
+            monkeypatch.setattr(metrics, "_PAIR_BUDGET", budget)
+        rng = np.random.default_rng(31)
+        corner = rng.uniform(-1, 1, size=(12, 1, 3))
+        far = rng.uniform(-1, 1, size=(12, 1, 3))
+        flat = np.concatenate([
+            np.concatenate([corner, corner, far], axis=1),
+            np.concatenate([far, corner, corner], axis=1),
+            np.concatenate([corner, far, corner], axis=1),
+            np.repeat(corner, 3, axis=1),
+            [[[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 0, 0], [0, 0, 0], [2, 0, 0]]],
+            corner + np.array([0.0, 0.25, 1.0])[:, None] * (far - corner),
+        ])
+        tris = np.concatenate([flat, rng.uniform(-1, 1, size=(40, 3, 3))])
+        tris = tris[rng.permutation(len(tris))]
+        pts = rng.uniform(-1.5, 1.5, size=(300, 3))
+        pts = np.concatenate([[[1.0, 1.0, 0.0], [3.0, 0.0, 0.0]], pts])
+        _assert_same_as_dense(pts, tris[:, 0], tris[:, 1], tris[:, 2])
+        _assert_same_as_dense(pts, flat[:, 0], flat[:, 1], flat[:, 2])
+
 
 class TestNormalConsistency:
     def test_self_is_exactly_one(self):

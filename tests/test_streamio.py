@@ -16,7 +16,6 @@ from meshtok import streamio
 from meshtok.streamio import (
     EmptyMeshError,
     FormatError,
-    NonTriangleError,
     ObjParseError,
     read_obj,
     read_stream_answers,
@@ -48,11 +47,6 @@ class TestReadObj:
         path = _write(tmp_path, "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
         mesh = read_obj(path)
         assert mesh.faces.tolist() == [[0, 1, 2], [0, 2, 3]]
-
-    def test_polygon_rejected_with_fan_off(self, tmp_path):
-        path = _write(tmp_path, "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
-        with pytest.raises(NonTriangleError):
-            read_obj(path, fan_triangulate=False)
 
     def test_negative_index_rejected(self, tmp_path):
         path = _write(tmp_path, "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -1\n")
