@@ -8,13 +8,14 @@ callback for each answer and generates. Vertices are identified by quantized
 position: positions already seen are merged during assembly, and the output
 mesh is every emitted face over the union of seen vertices.
 
-The machine is strict and has one behaviour: a vertex outside the
-``2**bits`` grid is an illegal answer, a vertex that repeats an endpoint of
-its edge is a DesyncError naming its step, and a repeated face is emitted as
-recorded. Only ``run``, which answers a sampler, adjusts proposals the way
-inference does: before the machine takes them, it turns a degenerate face,
-and a duplicate face when ``GeneratorConfig.duplicate_check`` is set, into
-STOP. Its transcripts record the STOP, so they replay cleanly.
+The machine is strict and has one behaviour: a vertex off the ``2**bits``
+grid, or an answer whose vertex does not fit its kind, is an illegal answer, a
+vertex that repeats an endpoint of its edge is a DesyncError naming its step,
+and a repeated face is emitted as recorded. Only ``run``, which answers a
+sampler, adjusts proposals the way inference does: it turns into STOP a face
+that repeats a vertex and, when ``GeneratorConfig.duplicate_check`` is set,
+one that reuses a directed edge (``validate_manifold``'s rule) or flips an
+emitted face. Its transcripts record the STOP, so they replay cleanly.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ Predictor = Callable[[PredictorQuery], PredictorAnswer]
 class GeneratorConfig:
     bits: int = 7
     order: str = DFS
-    duplicate_check: bool = True
+    duplicate_check: bool = True  # stop faces that reuse a directed edge or flip a face
     max_steps: int = 10000
 
 
@@ -137,12 +138,16 @@ class _Machine:
         """Take one answer: record it and advance."""
         kind, v = ans
         if kind == VERTEX:
+            if v is None:
+                raise IllegalAnswerError(f"step {self.step}: a vertex answer carries no vertex")
             x, y, z = v  # sequencer._on_grid, inlined on the replay path
             cells = self.cells
             if not (0 <= x < cells and 0 <= y < cells and 0 <= z < cells):
                 raise IllegalAnswerError(
                     f"step {self.step}: vertex {tuple(v)} outside the {self.bits}-bit grid"
                 )
+        elif v is not None:
+            raise IllegalAnswerError(f"step {self.step}: a {kind} answer carries a vertex")
         mode = self.mode
         if mode == EDGE:
             if kind == VERTEX:
@@ -201,36 +206,35 @@ def run(predictor: Predictor, cfg: Optional[GeneratorConfig] = None) -> RunResul
     if cfg.max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     m = _Machine(cfg.bits, cfg.order)
-    emitted: Optional[set[frozenset[int]]] = set() if cfg.duplicate_check else None
+    edges: Optional[dict[int, int]] = {} if cfg.duplicate_check else None
     for _ in range(cfg.max_steps):
         v1 = m.verts[m.v1] if m.mode == SOS2 else None
         query = PredictorQuery(m.step, m.mode, m.component, len(m.pending), v1, m.input_edge())
         ans = predictor(query)
-        if m.mode == EDGE and ans.kind == VERTEX and _on_grid(ans.vertex, m.cells):
-            ans = _adjust(m, ans, emitted)
+        if m.mode == EDGE and ans.kind == VERTEX:
+            ans = _adjust(m, ans, edges)
         m.answer(ans)
         if m.done:
             return m.result(HALT_EOS)
     return m.result(HALT_BUDGET)
 
 
-def _adjust(
-    m: _Machine, ans: PredictorAnswer, emitted: Optional[set[frozenset[int]]]
-) -> PredictorAnswer:
-    """The answer ``run`` gives the machine for an on-grid VERTEX answering
-    EDGE: STOP in place of a face that repeats a vertex, or of a face already
-    in ``emitted`` (the vertex-index sets of the faces emitted so far, kept
-    only when the duplicate check is on); else ``ans`` itself."""
-    ia, ib = m.edge
-    ic = m.vert_index.get(ans.vertex)
-    if ia == ib or ic == ia or ic == ib:
+def _adjust(m: _Machine, ans: PredictorAnswer, edges: Optional[dict]) -> PredictorAnswer:
+    """``ans``, a VERTEX answering EDGE, or STOP if its face (a, b, c) repeats a vertex
+    or, with ``edges`` (emitted directed edge -> third vertex), reuses one or flips a face."""
+    if ans.vertex is None or not _on_grid(ans.vertex, m.cells):
+        return ans  # the machine refuses it
+    a, b = m.edge
+    n = len(m.verts)  # a new vertex gets index n and has no edges yet
+    c = m.vert_index.get(ans.vertex, n)
+    if a == b or c == a or c == b:
         return ANSWER_STOP
-    if emitted is not None:
-        # A new vertex gets the next index, so its face is new.
-        key = frozenset((ia, ib, len(m.verts) if ic is None else ic))
-        if key in emitted:
+    if edges is not None:
+        s = 3 * m.bits  # an index is below 2**s, the number of grid positions
+        ab, bc, ca = a << s | b, b << s | c, c << s | a
+        if ab in edges or c < n and (bc in edges or ca in edges or edges.get(b << s | a) == c):
             return ANSWER_STOP
-        emitted.add(key)
+        edges[ab], edges[bc], edges[ca] = c, a, b
     return ans
 
 

@@ -9,18 +9,21 @@ normal consistency via scalar all-pairs loops, point-to-triangle distance
 via dense sampling on a barycentric lattice, nearest faces via a search
 over every (point, face) pair, quantization and silhouette masks via the
 per-vertex and per-triangle loops that the vectorized versions replaced,
-silhouette cluster counts via ``scipy.ndimage.label``, and file reading
-and writing via the per-record code that preceded the current.
+silhouette cluster counts via ``scipy.ndimage.label``, file reading
+and writing via the per-record code that preceded the current, and
+generation via the vertex-set duplicate rule that preceded the
+directed-edge one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 import struct
 from collections import Counter, deque
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy import ndimage
@@ -50,7 +53,18 @@ from meshtok.sequencer import (
     PredictorAnswer,
     StepRecord,
     TokenSequence,
+    _on_grid,
     answer_vertex,
+)
+from meshtok.generator import (
+    HALT_BUDGET,
+    HALT_EOS,
+    GeneratorConfig,
+    Predictor,
+    PredictorQuery,
+    RunResult,
+    _Machine,
+    fuzz_predictor,
 )
 from meshtok.halfedge import HalfEdgeConnectivity
 from meshtok.metrics import point_to_triangle_distance
@@ -720,3 +734,66 @@ def reference_walk(seq: TokenSequence) -> tuple[int, int, int]:
     if mode != EOS:
         raise MalformedSequenceError("missing terminal EOS")
     return faces, components, stops
+
+
+def reference_run(predictor: Predictor, cfg: Optional[GeneratorConfig] = None) -> RunResult:
+    """``generator.run`` as it was when its duplicate check kept the vertex
+    set of every emitted face: it stops a face over an emitted vertex set but
+    not one that reuses a directed edge over a new vertex set."""
+    cfg = cfg or GeneratorConfig()
+    if cfg.max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    m = _Machine(cfg.bits, cfg.order)
+    emitted: Optional[set[frozenset[int]]] = set() if cfg.duplicate_check else None
+    for _ in range(cfg.max_steps):
+        v1 = m.verts[m.v1] if m.mode == SOS2 else None
+        query = PredictorQuery(m.step, m.mode, m.component, len(m.pending), v1, m.input_edge())
+        ans = predictor(query)
+        if m.mode == EDGE and ans.kind == VERTEX and _on_grid(ans.vertex, m.cells):
+            ans = _reference_adjust(m, ans, emitted)
+        m.answer(ans)
+        if m.done:
+            return m.result(HALT_EOS)
+    return m.result(HALT_BUDGET)
+
+
+def _reference_adjust(
+    m: _Machine, ans: PredictorAnswer, emitted: Optional[set[frozenset[int]]]
+) -> PredictorAnswer:
+    """The answer ``run`` gives the machine for an on-grid VERTEX answering
+    EDGE: STOP in place of a face that repeats a vertex, or of a face already
+    in ``emitted`` (the vertex-index sets of the faces emitted so far, kept
+    only when the duplicate check is on); else ``ans`` itself."""
+    ia, ib = m.edge
+    ic = m.vert_index.get(ans.vertex)
+    if ia == ib or ic == ia or ic == ib:
+        return ANSWER_STOP
+    if emitted is not None:
+        # A new vertex gets the next index, so its face is new.
+        key = frozenset((ia, ib, len(m.verts) if ic is None else ic))
+        if key in emitted:
+            return ANSWER_STOP
+        emitted.add(key)
+    return ans
+
+
+def reusing_predictor(seed: int, bits: int = 7) -> Predictor:
+    """``fuzz_predictor``'s answers, except that half of its vertex answers
+    name a vertex the queries have shown, as a sampler closing a surface
+    must. Deterministic per seed and per the queries it is asked."""
+    fuzz = fuzz_predictor(seed, bits)
+    rng = random.Random(~seed)
+    seen: list[QuantizedVertex] = []
+    known: set[QuantizedVertex] = set()
+
+    def predict(query: PredictorQuery) -> PredictorAnswer:
+        for v in (query.v1, *(query.edge or ())):
+            if v is not None and v not in known:
+                known.add(v)
+                seen.append(v)
+        ans = fuzz(query)
+        if ans.kind == VERTEX and seen and rng.random() < 0.5:
+            return answer_vertex(rng.choice(seen))
+        return ans
+
+    return predict

@@ -5,12 +5,16 @@ import os
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from meshtok.core import Face, QuantizedMesh, QuantizedVertex
+from meshtok.core import Face, QuantizedMesh, QuantizedVertex, validate_manifold
+from meshtok.preprocess import quantize
+from meshtok.procgen import big_torus
 from meshtok.sequencer import (
     EDGE,
     EOS,
     SOS,
+    SOS2,
     STOP,
     VERTEX,
     StepRecord,
@@ -25,6 +29,7 @@ from meshtok.generator import (
     GeneratorConfig,
     IllegalAnswerError,
     PipePredictor,
+    PredictorAnswer,
     answer_from_json,
     answer_to_json,
     answer_vertex,
@@ -35,12 +40,13 @@ from meshtok.generator import (
     run,
 )
 from meshtok.streamio import FormatError
-from helpers import canonical_faces
+from helpers import canonical_faces, reference_run, reusing_predictor
 
 V1 = QuantizedVertex(0, 0, 0)
 V2 = QuantizedVertex(10, 0, 0)
 C = QuantizedVertex(0, 10, 0)
 D = QuantizedVertex(5, 5, 9)
+E = QuantizedVertex(3, 7, 11)
 
 
 def _script(*answers):
@@ -51,6 +57,21 @@ def _script(*answers):
         ans = done[i[0]]
         i[0] += 1
         return ans
+
+    return predict
+
+
+def _faces_then_stop(*edge_answers):
+    """Start at V1, V2, answer the EDGE queries with ``edge_answers`` in turn,
+    then STOP every further edge and end with EOS."""
+    rest = iter(edge_answers)
+
+    def predict(query):
+        if query.kind == SOS:
+            return ANSWER_EOS if query.step else answer_vertex(V1)
+        if query.kind == SOS2:
+            return answer_vertex(V2)
+        return next(rest, ANSWER_STOP)
 
     return predict
 
@@ -165,6 +186,55 @@ class TestRunCoercions:
         result = run(_script(*answers), GeneratorConfig(duplicate_check=False))
         assert len(result.mesh.faces) == 3
 
+    def test_face_reusing_a_directed_edge_over_a_new_vertex_set_stops(self):
+        # (E, V2, C) would reuse the directed edge (V2, C) of the first face,
+        # though no face so far has the vertex set {E, V2, C}.
+        script = _faces_then_stop(*map(answer_vertex, (C, D, E, C)))
+        result = run(script, GeneratorConfig(duplicate_check=True))
+        assert result.transcript.records[5].output_kind == STOP
+        assert len(result.mesh.faces) == 3
+        assert validate_manifold(result.mesh).ok
+
+    def test_face_over_a_new_vertex_reusing_the_start_edge_stops(self):
+        # (D, V2, V1) hands the start edge (V1, V2) back to the stack, so a
+        # face on it over the new vertex E would reuse that directed edge.
+        script = _faces_then_stop(*map(answer_vertex, (C, D, V1, E)))
+        result = run(script, GeneratorConfig(duplicate_check=True))
+        assert result.transcript.records[5].output_kind == STOP
+        assert len(result.mesh.faces) == 3
+        assert validate_manifold(result.mesh).ok
+
+    @pytest.mark.parametrize("order", ["dfs", "bfs"])
+    def test_encoded_transcripts_pass_unchanged(self, order, corpus7, corpus9):
+        for name, mesh in [*corpus7, *corpus9, ("big_torus", quantize(big_torus(), 7))]:
+            seq = encode(mesh, order)
+            cfg = GeneratorConfig(bits=mesh.bits, order=order, max_steps=len(seq.outputs))
+            result = run(_script(*seq.outputs), cfg)
+            assert result.transcript.outputs == seq.outputs, name
+            assert result.mesh == decode(seq), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.integers(1, 16),
+    order=st.sampled_from(["dfs", "bfs"]),
+    make=st.sampled_from([fuzz_predictor, reusing_predictor]),
+)
+def test_run_keeps_the_directed_edge_rule(seed, bits, order, make):
+    on = GeneratorConfig(bits=bits, order=order)
+    result, ref = run(make(seed, bits), on), reference_run(make(seed, bits), on)
+    mesh = result.mesh
+    if mesh.faces:
+        assert validate_manifold(mesh).ok
+        assert canonical_faces(decode(encode(mesh))) == canonical_faces(mesh)
+    assert len({frozenset(f) for f in mesh.faces}) == len(mesh.faces)
+    # The old vertex-set rule agrees wherever its mesh keeps the edge rule.
+    ref_keeps_rule = not ref.mesh.faces or validate_manifold(ref.mesh).ok
+    assert (result.transcript == ref.transcript) == ref_keeps_rule
+    off = GeneratorConfig(bits=bits, order=order, duplicate_check=False)
+    assert run(make(seed, bits), off).transcript == reference_run(make(seed, bits), off).transcript
+
 
 class TestRunHalts:
     def test_eos_to_first_query_yields_empty_mesh(self):
@@ -252,6 +322,31 @@ class TestRunHalts:
             script = _script(*prefix, answer_vertex(outside))
             with pytest.raises(IllegalAnswerError, match=f"step {len(prefix)}: .*7-bit grid"):
                 run(script, GeneratorConfig(bits=7))
+
+
+class TestRefusedAnswers:
+    """An answer whose vertex does not fit its kind is illegal at its step,
+    in generation and in replay alike: no stream can hold it."""
+
+    @pytest.mark.parametrize("prefix", [[], [V1], [V1, V2]])
+    def test_vertex_answer_without_a_vertex(self, prefix):
+        answers = [*map(answer_vertex, prefix), PredictorAnswer(VERTEX)]
+        message = f"step {len(prefix)}: a vertex answer carries no vertex"
+        with pytest.raises(IllegalAnswerError, match=message):
+            run(_script(*answers))
+        with pytest.raises(IllegalAnswerError, match=message):
+            replay_outputs(answers, 7)
+
+    @pytest.mark.parametrize(
+        "prefix,kind", [([], EOS), ([V1, V2], STOP), ([V1, V2], EOS)]
+    )
+    def test_stop_or_eos_carrying_a_vertex(self, prefix, kind):
+        answers = [*map(answer_vertex, prefix), PredictorAnswer(kind, C), ANSWER_STOP, ANSWER_EOS]
+        message = f"step {len(prefix)}: a {kind} answer carries a vertex"
+        with pytest.raises(IllegalAnswerError, match=message):
+            run(_script(*answers))
+        with pytest.raises(IllegalAnswerError, match=message):
+            replay_outputs(answers, 7)
 
 
 class TestReplayOutputs:
