@@ -8,14 +8,15 @@ callback for each answer and generates. Vertices are identified by quantized
 position: positions already seen are merged during assembly, and the output
 mesh is every emitted face over the union of seen vertices.
 
-The machine is strict and has one behaviour: a vertex off the ``2**bits``
-grid, or an answer whose vertex does not fit its kind, is an illegal answer, a
-vertex that repeats an endpoint of its edge is a DesyncError naming its step,
-and a repeated face is emitted as recorded. Only ``run``, which answers a
-sampler, adjusts proposals the way inference does: it turns into STOP a face
-that repeats a vertex and, when ``GeneratorConfig.duplicate_check`` is set,
-one that reuses a directed edge (``validate_manifold``'s rule) or flips an
-emitted face. Its transcripts record the STOP, so they replay cleanly.
+The machine is strict and has one behaviour: a vertex that is not three
+integers on the ``2**bits`` grid, or an answer whose vertex does not fit its
+kind, is an illegal answer, a vertex that repeats an endpoint of its edge is
+a DesyncError naming its step, and a repeated face is emitted as recorded.
+Only ``run``, which answers a sampler, adjusts proposals the way inference
+does: it turns into STOP a face that repeats a vertex and, when
+``GeneratorConfig.duplicate_check`` is set, one that reuses a directed edge
+(``validate_manifold``'s rule) or flips an emitted face. Its transcripts
+record the STOP, so they replay cleanly.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .sequencer import (
     EdgePositions,
     PredictorAnswer,
     TokenSequence,
-    _on_grid,
     answer_vertex,
     check_well_formed,
 )
@@ -140,7 +140,15 @@ class _Machine:
         if kind == VERTEX:
             if v is None:
                 raise IllegalAnswerError(f"step {self.step}: a vertex answer carries no vertex")
-            x, y, z = v  # sequencer._on_grid, inlined on the replay path
+            # _legal_vertex, inlined on the replay path
+            try:
+                x, y, z = v
+            except (TypeError, ValueError):
+                raise IllegalAnswerError(
+                    f"step {self.step}: vertex {v!r} is not three integers"
+                ) from None
+            if not (type(x) is int and type(y) is int and type(z) is int):  # bool is no coordinate
+                raise IllegalAnswerError(f"step {self.step}: vertex {tuple(v)} is not three integers")
             cells = self.cells
             if not (0 <= x < cells and 0 <= y < cells and 0 <= z < cells):
                 raise IllegalAnswerError(
@@ -222,7 +230,7 @@ def run(predictor: Predictor, cfg: Optional[GeneratorConfig] = None) -> RunResul
 def _adjust(m: _Machine, ans: PredictorAnswer, edges: Optional[dict]) -> PredictorAnswer:
     """``ans``, a VERTEX answering EDGE, or STOP if its face (a, b, c) repeats a vertex
     or, with ``edges`` (emitted directed edge -> third vertex), reuses one or flips a face."""
-    if ans.vertex is None or not _on_grid(ans.vertex, m.cells):
+    if not _legal_vertex(ans.vertex, m.cells):
         return ans  # the machine refuses it
     a, b = m.edge
     n = len(m.verts)  # a new vertex gets index n and has no edges yet
@@ -236,6 +244,19 @@ def _adjust(m: _Machine, ans: PredictorAnswer, edges: Optional[dict]) -> Predict
             return ANSWER_STOP
         edges[ab], edges[bc], edges[ca] = c, a, b
     return ans
+
+
+def _legal_vertex(v, cells: int) -> bool:
+    """Whether ``v`` is three ints in ``[0, cells)``, the only vertex that
+    ``_Machine.answer`` takes; a bool or a float is no coordinate."""
+    try:
+        x, y, z = v
+    except (TypeError, ValueError):
+        return False
+    return (
+        type(x) is int and type(y) is int and type(z) is int
+        and 0 <= x < cells and 0 <= y < cells and 0 <= z < cells
+    )
 
 
 def decode(seq: TokenSequence) -> QuantizedMesh:

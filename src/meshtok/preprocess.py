@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -87,7 +88,12 @@ def quantize(mesh: MeshReal, bits: int = 7) -> QuantizedMesh:
     that become degenerate, and drop repeats of the same unordered vertex set
     (opposite-winding copies count as repeats: keeping both would break the
     half-edge condition either way). Merged vertices keep the order in which
-    they are first seen; kept faces keep their input order."""
+    they are first seen; kept faces keep their input order.
+
+    The work is array passes: one sort of an int64 key per vertex merges
+    vertices, one stable ``np.lexsort`` over each face's sorted indices finds
+    repeated faces, and each ``QuantizedVertex`` and ``Face`` record is built
+    by one ``tuple.__new__`` call over a row of Python ints."""
     require_valid_bits(bits)
     v = mesh.vertices
     if v.size and not (v.min() >= -0.5 - 1e-9 and v.max() <= 0.5 + 1e-9):  # NaN fails too
@@ -106,15 +112,27 @@ def quantize(mesh: MeshReal, bits: int = 7) -> QuantizedMesh:
     by_first = np.argsort(first)
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(len(by_first))
-    verts = list(map(QuantizedVertex, *q[first[by_first]].T.tolist()))
+    verts = _records(QuantizedVertex, q[first[by_first]])
 
     tri = rank[inverse][mesh.faces]  # (m, 3) merged vertex indices
     a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
     tri = tri[(a != b) & (b != c) & (a != c)]
-    # Keep the first face of each unordered vertex set, in input order.
-    _, first_face = np.unique(np.sort(tri, axis=1), axis=0, return_index=True)
-    faces = list(map(Face, *tri[np.sort(first_face)].T.tolist()))
+    # Keep the first face of each unordered vertex set, in input order: the
+    # stable sort puts it first among the equal rows of its set.
+    s = np.sort(tri, axis=1)
+    order = np.lexsort((s[:, 2], s[:, 1], s[:, 0]))
+    s = s[order]
+    first_face = np.ones(len(s), dtype=bool)
+    first_face[1:] = (s[1:, 0] != s[:-1, 0]) | (s[1:, 1] != s[:-1, 1]) | (s[1:, 2] != s[:-1, 2])
+    faces = _records(Face, tri[np.sort(order[first_face])])
     return QuantizedMesh(verts, faces, bits)
+
+
+def _records(kind: type, rows: np.ndarray) -> list:
+    """The rows of an (n, 3) int array as ``kind`` NamedTuples of Python
+    ints. ``tuple.__new__`` is the constructor that ``kind(x, y, z)`` calls
+    through a Python-level ``__new__``."""
+    return list(map(tuple.__new__, repeat(kind), zip(*rows.T.tolist())))
 
 
 # Padded pixels (triangles x bbox width x bbox height) rasterized per numpy
@@ -139,7 +157,9 @@ def _fill_triangles_2d(tri2d: np.ndarray, grid: int) -> np.ndarray:
     clockwise triangle is drawn only when its bbox still holds an unset pixel,
     which a summed-area table of the first round's mask tells; a triangle sets
     no pixel outside its bbox, so the mask is the same. With only one winding
-    present, every triangle is drawn.
+    present, every triangle is drawn. Both rounds go through
+    ``_draw_triangles``, which tests a batch of padded bboxes in reused
+    buffers and sets the centers inside with one scatter into the flat mask.
     """
     mask = np.zeros((grid, grid), dtype=bool)
     px = (tri2d + 0.5) * grid  # (m, 3, 2) in pixel units
@@ -178,8 +198,13 @@ def _draw_triangles(
     """OR the triangles ``px[idx]`` (pixel units, of signed ``area``, bbox
     ``lo`` + ``size``) into ``mask``. Triangles of similar bbox size are
     rasterized together, padded to the batch's largest bbox; padded centers
-    are NaN, which fails every test."""
+    are NaN, which fails every test. Each batch evaluates its three edge
+    functions in turn into one float buffer and their tests into two boolean
+    ones, all allocated once per batch, and sets its pixels with one scatter
+    into the flattened mask."""
     eps = 1e-6
+    grid = mask.shape[1]
+    flat = mask.reshape(-1)  # a view: mask is a fresh C-ordered array
     idx = idx[np.lexsort((size[idx, 1], size[idx, 0]))]
     a, b, c = px[idx, 0], px[idx, 1], px[idx, 2]
     lo, size = lo[idx], size[idx]
@@ -204,17 +229,30 @@ def _draw_triangles(
         offs_x, offs_y = np.arange(width[n - 1]), np.arange(height[n - 1])
         gx = np.where(offs_x < size[rows, 0:1], lo[rows, 0:1] + offs_x + 0.5, np.nan)[:, :, None]
         gy = np.where(offs_y < size[rows, 1:2], lo[rows, 1:2] + offs_y + 0.5, np.nan)[:, None, :]
-        inside = np.ones((n, len(offs_x), len(offs_y)), dtype=bool)
-        for (p, _), ex, ey in zip(edges, dx, dy):
+        shape = (n, len(offs_x), len(offs_y))
+        w = np.empty(shape)
+        inside, test = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        for k, ((p, _), ex, ey) in enumerate(zip(edges, dx, dy)):
             ox, oy = p[rows, 0][:, None, None], p[rows, 1][:, None, None]
-            w = ex[rows][:, None, None] * (gy - oy) - ey[rows][:, None, None] * (gx - ox)
-            inside &= w >= -eps
+            # The two products are (n, 1, h) and (n, w, 1); only their
+            # difference spans the batch.
+            np.subtract(ex[rows][:, None, None] * (gy - oy), ey[rows][:, None, None] * (gx - ox), out=w)
+            if k == 0:
+                np.greater_equal(w, -eps, out=inside)
+            else:
+                np.greater_equal(w, -eps, out=test)
+                inside &= test
         if n == 1:  # unpadded: OR the block in place, no index lists
             (x0, y0), (sx, sy) = lo[rows][0], size[rows][0]
             mask[x0 : x0 + sx, y0 : y0 + sy] |= inside[0]
             continue
-        t, i, j = np.nonzero(inside)
-        mask[lo[rows][t, 0] + i, lo[rows][t, 1] + j] = True
+        # A set center's flat position in the batch gives its triangle t and
+        # its offset r in the padded bbox; its mask cell is t's bbox corner
+        # plus that offset, both as flat mask indices.
+        t, r = np.divmod(np.flatnonzero(inside), shape[1] * shape[2])
+        corner = lo[rows, 0] * grid + lo[rows, 1]
+        offset = (offs_x[:, None] * grid + offs_y).ravel()
+        flat[corner[t] + offset[r]] = True
 
 
 def _cluster_count(mask: np.ndarray) -> int:

@@ -30,9 +30,12 @@ output, and a grid has few distinct coordinates. So the stream parsers parse
 each distinct text line, or each distinct 6 coordinate bytes, once and look
 their repeats up; ``write_text_stream`` formats each distinct answer once, and
 ``write_obj`` each distinct grid coordinate and face index. ``read_obj``
-streams the file line by line into flat lists, checks each line as it reads
-it and parses each distinct vertex line of an unwelded file once. Every
-error still names the first bad line or record, exactly as a
+parses a file of plain ``v x y z`` and ``f i j k [l ...]`` lines, the layout
+``write_obj`` writes, in bounded batches of lines: each batch is joined,
+split into tokens and converted in a few whole-batch calls, and each
+distinct vertex line is converted once. Any other file, and any
+file with an error, goes to the line reader, which checks each line as it
+reads it. Every error still names the first bad line or record, exactly as a
 record-by-record reader would.
 """
 
@@ -41,9 +44,10 @@ from __future__ import annotations
 import json
 import math
 import struct
-from itertools import chain
+from itertools import chain, compress, filterfalse, repeat
+from operator import not_
 from pathlib import Path
-from typing import Union
+from typing import Collection, Union
 
 import numpy as np
 
@@ -114,20 +118,174 @@ class _Once(dict):
 # of them repeats an earlier one.
 _MEMO_TRIAL = 1024
 
+# Characters of text the batch reader asks ``readlines`` for at a time, a few
+# hundred lines. A batch's lines and tokens are the reader's largest
+# temporaries. Batches of 2^13 to 2^16 characters read the benchmark's files
+# equally fast; at this size the reader's tracemalloc peak on its codec and
+# intake files stayed below the line reader's, and 2^16 did not.
+_BATCH_CHARS = 1 << 14
+
 
 def read_obj(path: Union[str, Path]) -> MeshReal:
     """Parse `v` and `f` lines (1-based indices, `a/b/c` references allowed);
     everything else is ignored. Polygons are fan-triangulated.
 
-    The file is read as UTF-8, a leading byte-order mark skipped, line by
-    line into flat lists of coordinates and 1-based indices, and each line is
-    checked as it is read. A vertex line that repeats an earlier one, as
-    every shared corner of an unwelded file does, reuses that line's checked
-    coordinates; when the first _MEMO_TRIAL vertex lines are all distinct,
-    the file is taken as welded and lines are no longer looked up. Lines of
-    three or four plain indices, all at least 1, take a fast path; any other
-    face line is parsed token by token. A face that references a missing
-    vertex is reported once the whole file is read.
+    The file is read as UTF-8 and a leading byte-order mark is skipped. A
+    file made only of plain lines, ``v x y z`` and ``f`` with three or more
+    positive integer indices, as ``write_obj`` writes them, is parsed in
+    batches of lines by ``_read_plain_obj``. Any other file, and every file
+    with an error in it, is read again from its start by the line reader,
+    ``_read_obj_lines``, which names the first bad line. Both give the same
+    mesh.
+    """
+    mesh = _read_plain_obj(path)
+    return mesh if mesh is not None else _read_obj_lines(path)
+
+
+def _read_plain_obj(path: Union[str, Path]) -> MeshReal | None:
+    """The mesh of a file of plain `v` and `f` lines, or None once a line is
+    anything else, a token does not parse, a coordinate is not finite, an
+    index is below 1 or past the last vertex, or the text is not UTF-8.
+
+    Each ``readlines`` batch is counted into vertex and face lines by
+    searching its joined text for line starts "v " and "f "; only a batch
+    that holds both kinds is split line by line. Each kind is joined and
+    split into tokens once and converted by ``float`` or ``int`` mapped over
+    the tokens. A vertex line that repeats an earlier one, as every shared
+    corner of an unwelded file does, is converted once and looked up after;
+    when the first _MEMO_TRIAL vertex lines are all distinct, the file is
+    taken as welded and repeats are no longer looked for.
+    """
+    row_parts: list[np.ndarray] = []  # coordinates of the vertex lines parsed
+    index_parts: list[np.ndarray] = []  # each vertex line's row, while the memo is kept
+    tri_parts: list[np.ndarray] = []
+    n_rows = n_verts = 0
+    # Vertex line -> its row; None once the first _MEMO_TRIAL vertex lines
+    # turned out all distinct.
+    memo: dict[str, int] | None = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            batch = fh.readlines(_BATCH_CHARS)
+            if batch:
+                batch[0] = batch[0].removeprefix("\ufeff")  # skip a byte-order mark
+            while batch:
+                # Every line but a file's last ends in a newline, so each
+                # "\n" of the text is followed by the start of a line.
+                text = "".join(batch)
+                n_v = text.startswith("v ") + text.count("\nv ")
+                n_f = text.startswith("f ") + text.count("\nf ")
+                if n_v + n_f != len(batch):
+                    return None
+                if n_v and n_f:
+                    is_v = list(map(str.startswith, batch, repeat("v ")))
+                    vert_lines = list(compress(batch, is_v))
+                    face_lines = list(compress(batch, map(not_, is_v)))
+                else:
+                    vert_lines, face_lines = (batch, []) if n_v else ([], batch)
+                if vert_lines:
+                    new = vert_lines
+                    if memo is not None:  # the lines not seen before, once each
+                        new = dict.fromkeys(filterfalse(memo.__contains__, vert_lines))
+                    if new:
+                        xyz = _plain_vertices(new)
+                        if xyz is None:
+                            return None
+                        row_parts.append(xyz)
+                    if memo is not None:
+                        memo.update(zip(new, range(n_rows, n_rows + len(new))))
+                        index_parts.append(np.fromiter(map(memo.__getitem__, vert_lines), np.intp, n_v))
+                    n_rows += len(new)
+                    n_verts += n_v
+                    if memo is not None and n_rows == n_verts >= _MEMO_TRIAL:
+                        memo = None  # a welded file: its lines do not repeat
+                if face_lines:
+                    tri = _plain_triangles(face_lines)
+                    if tri is None:
+                        return None
+                    tri_parts.append(tri)
+                batch = fh.readlines(_BATCH_CHARS)
+    except UnicodeDecodeError:
+        return None
+    xyz = np.concatenate(row_parts) if row_parts else np.empty((0, 3))
+    if n_rows < n_verts:  # the memo was kept, so every batch has its rows
+        xyz = xyz[np.concatenate(index_parts)]
+    tri = np.concatenate(tri_parts) if tri_parts else np.empty((0, 3), dtype=np.int64)
+    if len(tri) and tri.max() > n_verts:
+        return None  # a missing vertex: the line reader names its line
+    tri -= 1
+    return MeshReal(xyz, tri)
+
+
+def _plain_vertices(lines: Collection[str]) -> np.ndarray | None:
+    """The (n, 3) coordinates of ``n`` lines that start with "v ", or None
+    unless each has exactly three finite coordinates.
+
+    The joined lines split into 4n tokens. Unless each line has four, some
+    line's "v" falls between every fourth token, and ``float`` rejects it."""
+    n = len(lines)
+    tokens = " ".join(lines).split()
+    if len(tokens) != 4 * n:
+        return None
+    del tokens[::4]
+    try:
+        xyz = np.fromiter(map(float, tokens), np.float64, 3 * n)
+    except ValueError:
+        return None
+    if not np.isfinite(xyz).all():
+        return None
+    return xyz.reshape(n, 3)
+
+
+def _plain_triangles(lines: list[str]) -> np.ndarray | None:
+    """The (t, 3) 1-based corners of ``n`` lines that start with "f ", each
+    fan-triangulated, or None unless every token after the "f" is an integer
+    of at least 1 and each line has three or more of them.
+
+    When the joined lines split into 4n or 5n tokens with an "f" at every
+    fourth or fifth one, every line has that many tokens, since no index
+    that ``int`` accepts is "f"; otherwise each line is split on its own."""
+    n = len(lines)
+    tokens = " ".join(lines).split()
+    width = len(tokens) // n
+    if len(tokens) == width * n and width in (4, 5) and tokens[::width].count("f") == n:
+        sizes = None  # all triangles, or all quads
+        del tokens[::width]
+    else:
+        sizes = np.fromiter(map(len, map(str.split, lines)), np.intp, n) - 1
+        if sizes.min() < 3:
+            return None
+        index = np.ones(len(tokens), dtype=bool)
+        index[np.cumsum(sizes + 1) - sizes - 1] = False  # each line's "f"
+        tokens = list(compress(tokens, index.tolist()))
+    try:
+        corners = np.fromiter(map(int, tokens), np.int64, len(tokens))
+    except (ValueError, OverflowError):
+        return None
+    if corners.min() < 1:
+        return None
+    if sizes is None:
+        corners = corners.reshape(n, width - 1)
+        return corners if width == 4 else corners[:, (0, 1, 2, 0, 2, 3)].reshape(-1, 3)
+    # Triangle k of a line takes the line's corners 0, k + 1 and k + 2.
+    fans = sizes - 2
+    line = np.repeat(np.arange(n), fans)
+    k = np.arange(len(line)) - np.repeat(np.cumsum(fans) - fans, fans)
+    first = (np.cumsum(sizes) - sizes)[line]
+    return corners[first[:, None] + np.stack([np.zeros_like(k), k + 1, k + 2], axis=1)]
+
+
+def _read_obj_lines(path: Union[str, Path]) -> MeshReal:
+    """``read_obj`` line by line, for any file: each line is checked as it is
+    read, and the first bad one is named.
+
+    Lines go into flat lists of coordinates and 1-based indices. A vertex
+    line that repeats an earlier one, as every shared corner of an unwelded
+    file does, reuses that line's checked coordinates; when the first
+    _MEMO_TRIAL vertex lines are all distinct, the file is taken as welded
+    and lines are no longer looked up. Lines of three or four plain indices,
+    all at least 1, take a fast path; any other face line is parsed token by
+    token. A face that references a missing vertex is reported once the whole
+    file is read.
     """
     coords: list[float] = []
     corners: list[int] = []  # 1-based indices, three per triangle

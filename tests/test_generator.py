@@ -337,6 +337,29 @@ class TestRefusedAnswers:
         with pytest.raises(IllegalAnswerError, match=message):
             replay_outputs(answers, 7)
 
+    @pytest.mark.parametrize("prefix", [[], [V1], [V1, V2]])
+    @pytest.mark.parametrize(
+        "vertex",
+        [
+            QuantizedVertex(1.5, 0, 0),  # within the grid, but no integer
+            QuantizedVertex(0, 1.0, 0),
+            QuantizedVertex(True, 0, 0),  # a bool is no coordinate
+            (1, 2),
+            (1, 2, 3, 4),
+            "abc",
+            7,
+        ],
+    )
+    def test_vertex_that_is_not_three_integers(self, prefix, vertex):
+        # Each SOS, SOS2 and EDGE step refuses it by name; run does not emit
+        # a mesh or transcript that a writer then fails on.
+        answers = [*map(answer_vertex, prefix), PredictorAnswer(VERTEX, vertex), ANSWER_STOP]
+        message = rf"step {len(prefix)}: vertex .* is not three integers"
+        with pytest.raises(IllegalAnswerError, match=message):
+            run(_script(*answers, ANSWER_STOP, ANSWER_EOS))
+        with pytest.raises(IllegalAnswerError, match=message):
+            replay_outputs(answers, 7)
+
     @pytest.mark.parametrize(
         "prefix,kind", [([], EOS), ([V1, V2], STOP), ([V1, V2], EOS)]
     )

@@ -221,6 +221,143 @@ def test_read_obj_examples_match_reference(tmp_path, monkeypatch, text, memo):
     _compare_read_obj(tmp_path / "m.obj", text.encode("utf-8"))
 
 
+# --- the batch path for plain files ------------------------------------------
+#
+# A file of plain `v x y z` lines and `f` lines of three or more positive
+# integer indices is read in batches by ``_read_plain_obj``; everything else,
+# and every error, goes to the line reader ``_read_obj_lines``. Each case
+# below checks both paths against the reference, with batches cut down so
+# that they split the file at every line.
+
+_PLAIN_COORDS = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False, width=64).map(repr),
+    st.floats(-2, 2, allow_nan=False, width=32).map("{:.9g}".format),
+    st.sampled_from(["0", "-0", ".5", "1e-3", "+2.5", "1_0", "1E2", "-0.0"]),
+)
+
+
+@st.composite
+def _plain_obj_files(draw) -> tuple[bytes, bytes]:
+    """A plain file, and the same text without a byte-order mark for the
+    reference, which does not skip one."""
+    n_verts = draw(st.integers(1, 9))
+    vertex = st.lists(_PLAIN_COORDS, min_size=3, max_size=3).map(lambda c: "v " + " ".join(c))
+    if draw(st.booleans()):  # repeated vertex lines, as in an unwelded file
+        pool = draw(st.lists(vertex, min_size=1, max_size=4))
+        verts = draw(st.lists(st.sampled_from(pool), min_size=n_verts, max_size=n_verts))
+    else:
+        verts = draw(st.lists(vertex, min_size=n_verts, max_size=n_verts))
+    sizes = draw(st.sampled_from([[3], [4], [3, 4]]))  # triangles, quads or both
+    index = st.integers(1, n_verts).map(str)
+    face = st.sampled_from(sizes).flatmap(lambda k: st.lists(index, min_size=k, max_size=k))
+    faces = ["f " + " ".join(f) for f in draw(st.lists(face, max_size=12))]
+    if draw(st.booleans()):  # vertices first, as write_obj writes them
+        lines = verts + faces
+    else:
+        lines = draw(st.permutations(verts + faces))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = "".join(line + end for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no end on the last line
+    data = text.encode("utf-8")
+    bom = b"\xef\xbb\xbf" if draw(st.sampled_from([False] * 3 + [True])) else b""
+    return bom + data, data
+
+
+def _compare_both_paths(path: Path, data: bytes, reference_data: bytes | None = None) -> bool:
+    """``read_obj`` and the line reader against the reference on ``data``;
+    whether the batch path took the file."""
+    path.write_bytes(data if reference_data is None else reference_data)
+    want = _outcome(reference_read_obj, path)
+    path.write_bytes(data)
+    assert _outcome(read_obj, path) == want
+    assert _outcome(streamio._read_obj_lines, path) == want
+    return streamio._read_plain_obj(path) is not None
+
+
+@SETTINGS
+@given(
+    files=_plain_obj_files(),
+    batch=st.sampled_from([1, 2, 30, 1 << 16]),
+    trial=st.sampled_from([1, 3, 1024]),
+)
+def test_plain_files_take_the_batch_path(tmp_path, monkeypatch, files, batch, trial):
+    data, reference_data = files
+    monkeypatch.setattr(streamio, "_BATCH_CHARS", batch)
+    monkeypatch.setattr(streamio, "_MEMO_TRIAL", trial)
+    assert _compare_both_paths(tmp_path / "m.obj", data, reference_data)
+
+
+_PLAIN_HEAD = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0.5 0.5 1\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _PLAIN_HEAD + "f 1 2 3 4\nv 1e999 0 0\nf 1 2 5\n",  # a coordinate that overflows
+        _PLAIN_HEAD + "f 1 2 3\nf 0 1 2\n",  # a zero index
+        _PLAIN_HEAD + "f 1 2 3\nf -1 2 3\n",  # a negative index
+        _PLAIN_HEAD + "f 1 2 3 4\nf 1 2 6\nf 2 3 5\n",  # a missing vertex
+        _PLAIN_HEAD + "f 1 2 3 4\nf 1 2 3 9\n",  # a missing vertex in a quad
+        _PLAIN_HEAD + "f 1 2 3 4\nf 2 3 5\nf 1 f 2 5 3\n",  # a 3-index line among 4-index lines
+        _PLAIN_HEAD + "f 1 2 3 4\nf 2 3\n",  # too few indices
+        _PLAIN_HEAD + "f 1 2 3 4\nf 2 3 x 5\n",
+        _PLAIN_HEAD + "f 1 2 3 4\nf 2 3 4 99999999999999999999999\n",  # beyond int64
+        _PLAIN_HEAD + "v 1 2\nf 1 2 3\n",  # too few coordinates
+        _PLAIN_HEAD + "v 1 2 v\nv 3 4 5\nf 1 2 3\n",  # "v" where a coordinate belongs
+        _PLAIN_HEAD + "v 1 2\nv 3 4 5 6\nf 1 2 3\n",  # eight tokens on two vertex lines
+        _PLAIN_HEAD + "v 0 nan 0\n",
+        _PLAIN_HEAD + "v 0 0 0x1\n",
+    ],
+    ids=[
+        "overflow", "zero_index", "negative_index", "missing_vertex", "missing_in_quad",
+        "three_among_four", "too_few_indices", "bad_index", "index_beyond_int64",
+        "too_few_coords", "v_as_coord", "short_then_long", "nan", "hex_coord",
+    ],
+)
+@pytest.mark.parametrize("batch", [1, 1 << 16])
+def test_plain_looking_errors_go_to_the_line_reader(tmp_path, monkeypatch, text, batch):
+    monkeypatch.setattr(streamio, "_BATCH_CHARS", batch)
+    path = tmp_path / "m.obj"
+    assert not _compare_both_paths(path, text.encode("utf-8"))
+    assert _outcome(read_obj, path)[0] == "error"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _PLAIN_HEAD + "f 1 2 3 4\nf 2 3 5\nf 1 2 5\nf 3 4 5 1\n",  # triangles among quads
+        _PLAIN_HEAD + "f 1 2 3 4 5\nf 1 2 3\n",  # a pentagon
+        "f 1 2 3\nf 1 3 4\n" + _PLAIN_HEAD,  # faces before their vertices
+        _PLAIN_HEAD + "f 1  2\t3\n",  # other whitespace between tokens
+        _PLAIN_HEAD + "f +1 2 3\nv 1_0 +2.5 -0\n",  # signs and underscores, as int and float read them
+        _PLAIN_HEAD * 3 + "f 1 7 13\n",
+    ],
+    ids=["mixed", "pentagon", "faces_first", "whitespace", "signs", "repeats"],
+)
+@pytest.mark.parametrize("batch", [1, 1 << 16])
+def test_plain_files_with_mixed_lines(tmp_path, monkeypatch, text, batch):
+    monkeypatch.setattr(streamio, "_BATCH_CHARS", batch)
+    assert _compare_both_paths(tmp_path / "m.obj", text.encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# a comment\n" + _PLAIN_HEAD + "f 1 2 3\n",
+        _PLAIN_HEAD + "f 1/1 2/2 3/3\n",
+        _PLAIN_HEAD + "vn 0 0 1\nf 1 2 3\n",
+        _PLAIN_HEAD + "\nf 1 2 3\n",  # a blank line
+        _PLAIN_HEAD + " f 1 2 3\n",  # a leading space
+        _PLAIN_HEAD + "v 1 2 3 1\nf 1 2 6\n",  # a vertex weight
+        _PLAIN_HEAD + "v\t1 2 3\nf 1 2 6\n",
+    ],
+    ids=["comment", "slashes", "normal", "blank", "leading_space", "weight", "tab"],
+)
+def test_other_valid_files_take_the_line_reader(tmp_path, text):
+    assert not _compare_both_paths(tmp_path / "m.obj", text.encode("utf-8"))
+
+
 @pytest.mark.parametrize("bad", ["v 0 0 nan\n", "f 1 0 2\n", ""])
 def test_read_obj_error_before_undecodable_text_in_a_later_block(tmp_path, bad):
     # The file is decoded block by block: an error on an early line comes
