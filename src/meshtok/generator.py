@@ -25,6 +25,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, TextIO
 
 from .core import Face, QuantizedMesh, QuantizedVertex, require_valid_bits
@@ -106,7 +107,7 @@ class _Machine:
         self.take = self.pending.pop if order == DFS else self.pending.popleft
         self.vert_index: dict[QuantizedVertex, int] = {}
         self.verts: list[QuantizedVertex] = []
-        self.faces: list[Face] = []
+        self.faces: list[tuple[int, int, int]] = []  # Face records in result()
         self.cells = 1 << bits
         self.outputs: list[PredictorAnswer] = []
         self.component = 0
@@ -158,8 +159,17 @@ class _Machine:
             raise IllegalAnswerError(f"step {self.step}: a {kind} answer carries a vertex")
         mode = self.mode
         if mode == EDGE:
-            if kind == VERTEX:
-                self._face(v)
+            if kind == VERTEX:  # emit the face of the popped edge and ``v``
+                a, b = self.edge
+                c = self.vert_index.get(v)
+                if a == b or c == a or c == b:
+                    raise DesyncError(f"step {self.step}: recorded vertex repeats an edge endpoint")
+                if c is None:
+                    c = self.vert_index[v] = len(self.verts)
+                    self.verts.append(v)
+                self.faces.append((a, b, c))
+                self.pending.append((a, c))
+                self.pending.append((c, b))
             elif kind != STOP:
                 raise IllegalAnswerError(f"step {self.step}: {kind} answers EDGE")
             if self.pending:
@@ -188,20 +198,9 @@ class _Machine:
         self.outputs.append(ans)
         self.step += 1
 
-    def _face(self, c: QuantizedVertex) -> None:
-        """Emit the face of the current edge and the vertex ``c``."""
-        ia, ib = self.edge
-        ic = self.vert_index.get(c)
-        if ia == ib or ic == ia or ic == ib:
-            raise DesyncError(f"step {self.step}: recorded vertex repeats an edge endpoint")
-        if ic is None:
-            ic = self.intern(c)
-        self.faces.append(Face(ia, ib, ic))
-        self.pending.append((ia, ic))
-        self.pending.append((ic, ib))
-
     def result(self, halt: str) -> RunResult:
-        mesh = QuantizedMesh(self.verts, self.faces, self.bits)
+        faces = list(map(tuple.__new__, repeat(Face), self.faces))
+        mesh = QuantizedMesh(self.verts, faces, self.bits)
         transcript = TokenSequence(
             self.bits, self.order, self.outputs, truncated=(halt == HALT_BUDGET)
         )

@@ -114,10 +114,11 @@ def _walk(seq: TokenSequence) -> tuple[int, int, int]:
     a VERTEX, then one output per pending edge, where VERTEX adds one pending
     edge (pop one, push two) and STOP removes one; the component ends when no
     edge is pending. The sequence ends in exactly one EOS, answering the
-    start of a component. Each distinct vertex is checked against the grid
-    once, at its first record; errors name the first bad record. The counter
-    does no geometry: a vertex repeating an edge endpoint is left for replay
-    to reject.
+    start of a component. Each distinct vertex object is checked once, at
+    its first record: it must be three ints on the grid, and a bool or a
+    float is refused even where it equals an int vertex seen before. Errors
+    name the first bad record. The counter does no geometry: a vertex
+    repeating an edge endpoint is left for replay to reject.
     """
     if not valid_bits(seq.bits):
         raise MalformedSequenceError(f"bits {seq.bits} outside [1, 16]")
@@ -128,19 +129,26 @@ def _walk(seq: TokenSequence) -> tuple[int, int, int]:
     if not seq.outputs:
         raise MalformedSequenceError("empty sequence")
     cells = 1 << seq.bits
-    on_grid: set[QuantizedVertex] = set()
+    # ids of the vertex objects checked so far; ``outputs`` holds each of
+    # them for the whole walk, so no id is reused.
+    checked: set[int] = set()
     mode = SOS
     pending = faces = components = stops = 0
-    for i, (kind, v) in enumerate(seq.outputs):
-        if mode == EOS:
-            raise MalformedSequenceError(f"record {i} after terminal EOS")
+    outputs = seq.outputs
+    for i, (kind, v) in enumerate(outputs):
         if kind == VERTEX:
-            if v not in on_grid:
-                if v is None or not _on_grid(v, cells):
+            if id(v) not in checked:
+                try:
+                    x, y, z = v
+                except (TypeError, ValueError):
+                    x = y = z = None
+                if v is not None and not (type(x) is int and type(y) is int and type(z) is int):
+                    raise MalformedSequenceError(f"record {i}: vertex {v!r} is not three integers")
+                if v is None or not (0 <= x < cells and 0 <= y < cells and 0 <= z < cells):
                     raise MalformedSequenceError(
                         f"record {i}: vertex {v} is not on the {seq.bits}-bit grid"
                     )
-                on_grid.add(v)
+                checked.add(id(v))
             if mode == EDGE:
                 faces += 1
                 pending += 1
@@ -158,6 +166,8 @@ def _walk(seq: TokenSequence) -> tuple[int, int, int]:
             if not pending:
                 mode = SOS
         elif kind == EOS and mode == SOS:
+            if i + 1 < len(outputs):
+                raise MalformedSequenceError(f"record {i + 1} after terminal EOS")
             mode = EOS
         else:
             raise MalformedSequenceError(f"record {i}: illegal output {kind} answering {mode}")
@@ -166,15 +176,10 @@ def _walk(seq: TokenSequence) -> tuple[int, int, int]:
     return faces, components, stops
 
 
-def _on_grid(v: QuantizedVertex, cells: int) -> bool:
-    x, y, z = v
-    return 0 <= x < cells and 0 <= y < cells and 0 <= z < cells
-
-
 def check_well_formed(seq: TokenSequence) -> None:
     """Raise MalformedSequenceError unless ``seq`` has a bit count in [1, 16],
-    a known order, every vertex on its grid, and outputs that follow the
-    component grammar up to exactly one terminal EOS."""
+    a known order, every vertex three ints on its grid, and outputs that
+    follow the component grammar up to exactly one terminal EOS."""
     _walk(seq)
 
 

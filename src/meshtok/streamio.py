@@ -29,11 +29,14 @@ A mesh repeats few distinct records: each vertex appears once as a VERTEX
 output, and a grid has few distinct coordinates. So the stream parsers parse
 each distinct text line, or each distinct 6 coordinate bytes, once and look
 their repeats up; ``write_text_stream`` formats each distinct answer once, and
-``write_obj`` each distinct grid coordinate and face index. ``read_obj``
-parses a file of plain ``v x y z`` and ``f i j k [l ...]`` lines, the layout
-``write_obj`` writes, in bounded batches of lines: each batch is joined,
-split into tokens and converted in a few whole-batch calls, and each
-distinct vertex line is converted once. Any other file, and any
+``write_obj`` each distinct grid coordinate and face index, then builds each
+section with one ``str.format`` call. A text record exactly as the writer
+formats it is converted without the JSON decoder; any other line is decoded
+as JSON, which gives the same answer or the same error. ``read_obj`` parses
+a file of plain ``v x y z`` and ``f i j k [l ...]`` lines, the layout
+``write_obj`` writes, in batches of about 2^14 characters: each batch is
+joined, split into tokens and converted in a few whole-batch calls, and each
+distinct vertex line of the file is converted once. Any other file, and any
 file with an error, goes to the line reader, which checks each line as it
 reads it. Every error still names the first bad line or record, exactly as a
 record-by-record reader would.
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from itertools import chain, compress, filterfalse, repeat
 from operator import not_
@@ -378,15 +382,20 @@ def write_obj(mesh: Union[QuantizedMesh, MeshReal], path: Union[str, Path]) -> N
             raise EmptyMeshError("refusing to write a mesh without vertices or faces")
         bits = mesh.bits
         coord = _Once(lambda q: f"{dequantize_coord(q, bits):.9g}")
-        lines = [f"v {coord[x]} {coord[y]} {coord[z]}" for x, y, z in mesh.vertices]
         index = _Once(lambda i: str(i + 1))
-        lines.extend(f"f {index[a]} {index[b]} {index[c]}" for a, b, c in mesh.faces)
+        coords = map(coord.__getitem__, chain.from_iterable(mesh.vertices))
+        corners = map(index.__getitem__, chain.from_iterable(mesh.faces))
+        # One format call per section, over a template repeated once per line.
+        text = ("v {} {} {}\n" * len(mesh.vertices)).format(*coords) + (
+            "f {} {} {}\n" * len(mesh.faces)
+        ).format(*corners)
     else:
         if len(mesh.vertices) == 0 or len(mesh.faces) == 0:
             raise EmptyMeshError("refusing to write a mesh without vertices or faces")
         lines = [f"v {float(x):.9g} {float(y):.9g} {float(z):.9g}" for x, y, z in mesh.vertices]
         lines.extend(f"f {int(a) + 1} {int(b) + 1} {int(c) + 1}" for a, b, c in mesh.faces)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = "\n".join(lines) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # --- token streams -----------------------------------------------------------
@@ -488,8 +497,8 @@ def read_stream_answers(path: Union[str, Path]) -> tuple[int, str, list[Predicto
 def _answer_line(a: PredictorAnswer) -> str:
     """One output as a text-stream record."""
     if a.kind == VERTEX:
-        v = a.vertex
-        return f'{{"op":"v","z":{v.z},"y":{v.y},"x":{v.x}}}'
+        x, y, z = a.vertex
+        return f'{{"op":"v","z":{z},"y":{y},"x":{x}}}'
     return '{"op":"stop"}' if a.kind == STOP else '{"op":"eos"}'
 
 
@@ -517,9 +526,35 @@ def _parse_vertex(obj, where: str, cells: int = 1 << 16) -> QuantizedVertex:
     return QuantizedVertex(x, y, z)
 
 
+# A vertex record exactly as ``_answer_line`` writes it: each coordinate in
+# ASCII digits, unsigned, without a leading zero and at most five digits
+# long, as 2**16 - 1 is. ``[0-9]``, not ``\d``: ``int`` reads other Unicode
+# digits, JSON does not.
+_CANONICAL_VERTEX = re.compile(
+    r'\{"op":"v","z":(0|[1-9][0-9]{0,4}),"y":(0|[1-9][0-9]{0,4}),"x":(0|[1-9][0-9]{0,4})\}'
+)
+_STOP_LINE = _answer_line(ANSWER_STOP)
+_EOS_LINE = _answer_line(ANSWER_EOS)
+
+
 def _parse_answer(line: str, where: str, cells: int = 1 << 16) -> PredictorAnswer:
     """One text-stream record; FormatError, naming ``where``, unless it is a
-    STOP, an EOS or a vertex with integer coordinates in [0, cells)."""
+    STOP, an EOS or a vertex with integer coordinates in [0, cells).
+
+    A line exactly as ``_answer_line`` writes it, with every coordinate
+    below ``cells``, is converted directly. Any other line, spaces, other
+    key orders, extra keys and other number forms included, is decoded as
+    JSON, which gives the same answer or the error."""
+    match = _CANONICAL_VERTEX.fullmatch(line)
+    if match is not None:
+        z, y, x = match.groups()
+        x, y, z = int(x), int(y), int(z)
+        if x < cells and y < cells and z < cells:
+            return answer_vertex(QuantizedVertex(x, y, z))
+    elif line == _STOP_LINE:
+        return ANSWER_STOP
+    elif line == _EOS_LINE:
+        return ANSWER_EOS
     obj = _text_object(line, where)
     op = obj.get("op")
     if op == "v":

@@ -10,9 +10,10 @@ via dense sampling on a barycentric lattice, nearest faces via a search
 over every (point, face) pair, quantization and silhouette masks via the
 per-vertex and per-triangle loops that the vectorized versions replaced,
 silhouette cluster counts via ``scipy.ndimage.label``, file reading
-and writing via the per-record code that preceded the current, and
-generation via the vertex-set duplicate rule that preceded the
-directed-edge one.
+and writing via the per-record code that preceded the current, text
+records via the JSON decoder alone, machine steps via the face helper that
+preceded the inline face step, and generation via the vertex-set duplicate
+rule that preceded the directed-edge one.
 """
 
 from __future__ import annotations
@@ -53,13 +54,14 @@ from meshtok.sequencer import (
     PredictorAnswer,
     StepRecord,
     TokenSequence,
-    _on_grid,
     answer_vertex,
 )
 from meshtok.generator import (
     HALT_BUDGET,
     HALT_EOS,
+    DesyncError,
     GeneratorConfig,
+    IllegalAnswerError,
     Predictor,
     PredictorQuery,
     RunResult,
@@ -79,7 +81,6 @@ from meshtok.streamio import (
     _OP_STOP,
     _OP_VERTEX,
     _answer_line,
-    _parse_answer,
     _text_object,
 )
 
@@ -677,9 +678,30 @@ def reference_parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnsw
     if order not in (DFS, BFS):
         raise FormatError(f"unknown order {order!r} on line {header_line}")
     cells = 1 << bits
-    answers = [_parse_answer(line, f"line {i}", cells) for i, line in lines[1:]]
+    answers = [reference_parse_answer(line, f"line {i}", cells) for i, line in lines[1:]]
     _reference_require_single_terminal_eos(answers)
     return bits, order, answers
+
+
+def reference_parse_answer(line: str, where: str, cells: int = 1 << 16) -> PredictorAnswer:
+    """One text-stream record, every line through the JSON decoder;
+    FormatError, naming ``where``, unless it is a STOP, an EOS or a vertex
+    with integer coordinates in [0, cells)."""
+    obj = _text_object(line, where)
+    op = obj.get("op")
+    if op == "v":
+        x, y, z = xyz = obj.get("x"), obj.get("y"), obj.get("z")
+        if not (
+            type(x) is int and type(y) is int and type(z) is int  # bool is no coordinate
+            and 0 <= x < cells and 0 <= y < cells and 0 <= z < cells
+        ):
+            raise FormatError(f"vertex on {where} needs integer x, y, z in [0, {cells}), got {xyz}")
+        return answer_vertex(QuantizedVertex(x, y, z))
+    if op == "stop":
+        return ANSWER_STOP
+    if op == "eos":
+        return ANSWER_EOS
+    raise FormatError(f"unknown op {op!r} on {where}")
 
 
 def reference_walk(seq: TokenSequence) -> tuple[int, int, int]:
@@ -749,12 +771,17 @@ def reference_run(predictor: Predictor, cfg: Optional[GeneratorConfig] = None) -
         v1 = m.verts[m.v1] if m.mode == SOS2 else None
         query = PredictorQuery(m.step, m.mode, m.component, len(m.pending), v1, m.input_edge())
         ans = predictor(query)
-        if m.mode == EDGE and ans.kind == VERTEX and _on_grid(ans.vertex, m.cells):
+        if m.mode == EDGE and ans.kind == VERTEX and _reference_on_grid(ans.vertex, m.cells):
             ans = _reference_adjust(m, ans, emitted)
         m.answer(ans)
         if m.done:
             return m.result(HALT_EOS)
     return m.result(HALT_BUDGET)
+
+
+def _reference_on_grid(v: QuantizedVertex, cells: int) -> bool:
+    x, y, z = v
+    return 0 <= x < cells and 0 <= y < cells and 0 <= z < cells
 
 
 def _reference_adjust(
@@ -775,6 +802,77 @@ def _reference_adjust(
             return ANSWER_STOP
         emitted.add(key)
     return ans
+
+
+class ReferenceMachine(_Machine):
+    """``generator._Machine`` with the step it had before a face was emitted
+    inline: ``answer`` calls ``_face``, which appends a ``Face`` record."""
+
+    def answer(self, ans: PredictorAnswer) -> None:
+        """Take one answer: record it and advance."""
+        kind, v = ans
+        if kind == VERTEX:
+            if v is None:
+                raise IllegalAnswerError(f"step {self.step}: a vertex answer carries no vertex")
+            # _legal_vertex, inlined on the replay path
+            try:
+                x, y, z = v
+            except (TypeError, ValueError):
+                raise IllegalAnswerError(
+                    f"step {self.step}: vertex {v!r} is not three integers"
+                ) from None
+            if not (type(x) is int and type(y) is int and type(z) is int):  # bool is no coordinate
+                raise IllegalAnswerError(f"step {self.step}: vertex {tuple(v)} is not three integers")
+            cells = self.cells
+            if not (0 <= x < cells and 0 <= y < cells and 0 <= z < cells):
+                raise IllegalAnswerError(
+                    f"step {self.step}: vertex {tuple(v)} outside the {self.bits}-bit grid"
+                )
+        elif v is not None:
+            raise IllegalAnswerError(f"step {self.step}: a {kind} answer carries a vertex")
+        mode = self.mode
+        if mode == EDGE:
+            if kind == VERTEX:
+                self._face(v)
+            elif kind != STOP:
+                raise IllegalAnswerError(f"step {self.step}: {kind} answers EDGE")
+            if self.pending:
+                self.edge = self.take()
+            else:
+                self.mode = SOS
+                self.component += 1
+        elif mode == SOS:
+            if kind == VERTEX:
+                self.v1 = self.intern(v)
+                self.mode = SOS2
+            elif kind == EOS:
+                self.mode = EOS
+            else:
+                raise IllegalAnswerError(f"step {self.step}: {kind} answers SOS")
+        elif mode == SOS2:
+            if kind != VERTEX:
+                raise IllegalAnswerError(f"step {self.step}: {kind} answers SOS2")
+            v1, v2 = self.v1, self.intern(v)
+            self.pending.append((v2, v1))  # twin below the start edge
+            self.pending.append((v1, v2))
+            self.edge = self.take()
+            self.mode = EDGE
+        else:
+            raise DesyncError(f"step {self.step}: answer after the terminal EOS")
+        self.outputs.append(ans)
+        self.step += 1
+
+    def _face(self, c: QuantizedVertex) -> None:
+        """Emit the face of the current edge and the vertex ``c``."""
+        ia, ib = self.edge
+        ic = self.vert_index.get(c)
+        if ia == ib or ic == ia or ic == ib:
+            raise DesyncError(f"step {self.step}: recorded vertex repeats an edge endpoint")
+        if ic is None:
+            ic = self.intern(c)
+        self.faces.append(Face(ia, ib, ic))
+        self.pending.append((ia, ic))
+        self.pending.append((ic, ib))
 
 
 def reusing_predictor(seed: int, bits: int = 7) -> Predictor:

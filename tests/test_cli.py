@@ -18,7 +18,7 @@ from meshtok.generator import DesyncError, decode
 from meshtok.preprocess import quantize
 from meshtok.procgen import tetrahedron, torus, two_component_scene
 from meshtok.sequencer import TokenSequence, answer_vertex, encode
-from meshtok.streamio import read_obj, write_obj, write_stream
+from meshtok.streamio import read_obj, write_obj, write_stream, write_text_stream
 from helpers import canonical_faces
 
 
@@ -191,6 +191,28 @@ def test_tokenize_walks_the_directed_edges_once(tmp_path, tetra_obj, monkeypatch
         grammar_walks.clear()
         assert main(["tokenize", str(tetra_obj), "-o", str(tmp_path / "t"), *text]) == 0
         assert (CountingList.walks, len(builds), len(grammar_walks)) == (1, 1, 1), text
+
+
+@pytest.mark.parametrize("bits", [1, 7, 9, 16])
+def test_text_records_skip_the_json_decoder(tmp_path, monkeypatch, bits):
+    # Every record line that write_text_stream writes takes the canonical
+    # fast path of the text parser; only the header goes through json.loads.
+    top = (1 << bits) - 1
+    lo = top // 3
+    verts = [QuantizedVertex(lo, lo, lo), QuantizedVertex(top, lo, lo),
+             QuantizedVertex(lo, top, lo), QuantizedVertex(lo, lo, top)]
+    faces = [Face(0, 2, 1), Face(0, 1, 3), Face(1, 2, 3), Face(2, 0, 3)]
+    mesh = QuantizedMesh(verts, faces, bits)
+    stream, out = tmp_path / "t.jsonl", tmp_path / "t.obj"
+    write_text_stream(encode(mesh), stream)
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: decoded.append(a[0]) or loads(*a, **k))
+    assert main(["detokenize", str(stream), "-o", str(out)]) == 0
+    assert main(["stats", str(stream)]) == 0
+    header = stream.read_text().splitlines()[0]
+    assert decoded == [header, header]
+    assert quantize(read_obj(out), bits) == decode(encode(mesh))
 
 
 def test_codec_commands_build_no_records_or_queries(tmp_path, tetra_obj, monkeypatch):

@@ -1,20 +1,22 @@
-"""The file readers and writers and the grammar walk against the per-record
-versions they replaced (kept in ``helpers`` as ``reference_*``): the same
-results, the same bytes, and the same exception type, message, ``.line`` and
-``.offset`` on every input."""
+"""The file readers and writers, the grammar walk and the machine's step
+against the versions they replaced (kept in ``helpers`` as ``reference_*``
+and ``ReferenceMachine``): the same results, the same bytes, and the same
+exception type, message, ``.line`` and ``.offset`` on every input."""
 
 from __future__ import annotations
 
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex
-from meshtok.generator import GeneratorConfig, fuzz_predictor, run
+from meshtok import generator
+from meshtok.generator import GeneratorConfig, answer_from_json, fuzz_predictor, replay_outputs, run
 from meshtok.sequencer import (
     ANSWER_EOS,
     ANSWER_STOP,
@@ -36,7 +38,9 @@ from meshtok.streamio import (
     write_text_stream,
 )
 from helpers import (
+    ReferenceMachine,
     reference_dumps_text_stream,
+    reference_parse_answer,
     reference_parse_stream_bytes,
     reference_parse_text_stream,
     reference_read_obj,
@@ -383,6 +387,22 @@ _TEXT_RECORDS = _rare(
             '{"op":"v","z":1,"y":2,"x":65536}',
             '{"op":"v","z":-1,"y":2,"x":3}',
             '{"op":"eos"}',
+            # Near the canonical form that ``_parse_answer`` converts directly:
+            '{"op":"v","z":01,"y":2,"x":3}',
+            '{"op":"v","z":-0,"y":2,"x":3}',
+            '{"op":"v","z":\u0661,"y":2,"x":3}',  # ARABIC-INDIC DIGIT ONE, which int reads
+            '{"op":"v","z":1.0,"y":2,"x":3}',
+            '{"op":"v","z":1e2,"y":2,"x":3}',
+            '{"op":"v","z":true,"y":2,"x":3}',
+            '{"op":"v","z":100000,"y":2,"x":3}',
+            '{"op":"v","z":0,"y":0,"x":065535}',
+            '{"op":"v","x":3,"y":2,"z":1}',
+            '{"op":"v","z":1,"y":2,"x":3,"w":0}',
+            '{"op":"v","z":1,"y":2,"x":3,"x":4}',
+            '{"op": "v", "z": 1, "y": 2, "x": 3}',
+            '{"op":"v","z":1,"y":2,"x":3}}',
+            '{"op":"stop","x":1}',
+            '{"op":"eos" }',
         ]
     ),
     st.builds(
@@ -422,6 +442,13 @@ def _text_streams(draw) -> str:
 @given(_text_streams())
 def test_text_stream_parser_matches_reference(text):
     assert _outcome(_parse_text_stream, text) == _outcome(reference_parse_text_stream, text)
+
+
+@SETTINGS
+@given(_TEXT_RECORDS, st.sampled_from(["", "", "\n", "\r\n", " "]))
+def test_answer_from_json_matches_reference(record, end):
+    line = record + end  # a pipe's line keeps its newline
+    assert _outcome(answer_from_json, line) == _outcome(reference_parse_answer, line, "answer line")
 
 
 _OPS = _rare(
@@ -493,7 +520,7 @@ _ANSWERS = [
 
 
 @st.composite
-def _sequences(draw) -> TokenSequence:
+def _sequences(draw, answers=tuple(_ANSWERS)) -> TokenSequence:
     bits = draw(st.sampled_from([1, 2, 3, 7, 9, 16]))
     order = draw(st.sampled_from(["dfs", "bfs"]))
     result = run(
@@ -504,7 +531,7 @@ def _sequences(draw) -> TokenSequence:
     for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2, 3]))):
         at = draw(st.integers(0, len(outputs)))
         edit = draw(st.sampled_from(["replace", "insert", "delete", "repeat"]))
-        answer = draw(st.sampled_from(_ANSWERS))
+        answer = draw(st.sampled_from(answers))
         if edit == "replace" and at < len(outputs):
             outputs[at] = answer
         elif edit == "insert":
@@ -523,6 +550,49 @@ def _sequences(draw) -> TokenSequence:
 @given(_sequences())
 def test_walk_matches_reference(seq):
     assert _outcome(_walk, seq) == _outcome(reference_walk, seq)
+
+
+# Vertices the machine refuses as not three ints, a bool or a float equal to
+# an int vertex among them.
+_NON_INT_ANSWERS = [
+    answer_vertex((1.5, 0, 0)),
+    answer_vertex((1.0, 1, 1)),
+    answer_vertex(QuantizedVertex(True, 0, 0)),
+    PredictorAnswer(VERTEX, (1, 2)),
+    PredictorAnswer(VERTEX, "abc"),
+]
+
+
+def _run_result(result):
+    """A RunResult with each face's type, so a plain tuple shows."""
+    mesh = result.mesh
+    faces = [(type(f), f) for f in mesh.faces]
+    return mesh.vertices, faces, mesh.bits, result.transcript, result.halt
+
+
+def _machine_outcomes(seq: TokenSequence, duplicate_check: bool) -> list:
+    """What strict replay, derived records and ``run`` answering with the
+    outputs of ``seq`` do."""
+    outputs = seq.outputs
+
+    def predict(query):
+        return outputs[query.step] if query.step < len(outputs) else ANSWER_EOS
+
+    cfg = GeneratorConfig(seq.bits, seq.order, duplicate_check, max_steps=len(outputs) + 1)
+    return [
+        _outcome(lambda: _run_result(replay_outputs(outputs, seq.bits, seq.order))),
+        _outcome(lambda: TokenSequence(seq.bits, seq.order, list(outputs)).records),
+        _outcome(lambda: _run_result(run(predict, cfg))),
+    ]
+
+
+@SETTINGS
+@given(_sequences(tuple(_ANSWERS + _NON_INT_ANSWERS)), st.booleans())
+def test_machine_matches_reference(seq, duplicate_check):
+    new = _machine_outcomes(seq, duplicate_check)
+    with mock.patch.object(generator, "_Machine", ReferenceMachine):
+        ref = _machine_outcomes(seq, duplicate_check)
+    assert new == ref
 
 
 def _written(write, obj, path: Path):

@@ -10,7 +10,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from meshtok.core import MeshReal, QuantizedMesh, QuantizedVertex
 from meshtok.preprocess import quantize
 from meshtok.procgen import big_torus, torus
-from meshtok.sequencer import MalformedSequenceError, TokenSequence, answer_vertex, encode
+from meshtok.sequencer import (
+    ANSWER_EOS,
+    ANSWER_STOP,
+    VERTEX,
+    MalformedSequenceError,
+    PredictorAnswer,
+    TokenSequence,
+    answer_vertex,
+    encode,
+)
 from meshtok.generator import DesyncError, IllegalAnswerError, decode, replay_outputs
 from meshtok import streamio
 from meshtok.streamio import (
@@ -300,6 +309,14 @@ class TestTextStream:
         with pytest.raises(FormatError, match=message):
             read_stream_answers(path)
 
+    @pytest.mark.parametrize("write", [write_stream, write_text_stream])
+    def test_plain_tuple_vertices_write_like_named_ones(self, tetra, tmp_path, write):
+        seq = encode(tetra)
+        plain = [PredictorAnswer(kind, v and tuple(v)) for kind, v in seq.outputs]
+        write(seq, tmp_path / "named")
+        write(TokenSequence(seq.bits, seq.order, plain), tmp_path / "plain")
+        assert (tmp_path / "plain").read_bytes() == (tmp_path / "named").read_bytes()
+
     def test_answers_autodetect(self, triangle, tmp_path):
         seq = encode(triangle)
         tp, bp = tmp_path / "t.jsonl", tmp_path / "t.tmts"
@@ -318,6 +335,32 @@ class TestWritersCheckTheSequence:
         seq.outputs[2] = answer_vertex(QuantizedVertex(0, 0, 200))
         with pytest.raises(MalformedSequenceError, match="record 2: .*7-bit grid"):
             write(seq, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("write", [write_stream, write_text_stream])
+    @pytest.mark.parametrize(
+        "vertex",
+        [QuantizedVertex(1.5, 0, 0), QuantizedVertex(0, True, 0), (0, 0, None), (0, 0), "abc"],
+        ids=["float", "bool", "none", "two", "string"],
+    )
+    def test_vertex_that_is_not_three_ints(self, triangle, tmp_path, write, vertex):
+        seq = encode(triangle)
+        seq.outputs[2] = PredictorAnswer(VERTEX, vertex)
+        with pytest.raises(MalformedSequenceError, match="record 2: .*not three integers"):
+            write(seq, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("write", [write_stream, write_text_stream])
+    @pytest.mark.parametrize(
+        "vertex", [QuantizedVertex(True, 0, 0), QuantizedVertex(1.0, 0, 0)], ids=["bool", "float"]
+    )
+    def test_vertex_equal_to_an_int_vertex_before_it(self, tmp_path, write, vertex):
+        # ``vertex == (1, 0, 0)``, which record 0 holds; each is checked.
+        a, b, c = (answer_vertex(QuantizedVertex(*p)) for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        triangle = [b, c, ANSWER_STOP, ANSWER_STOP, ANSWER_STOP]
+        outputs = [a, *triangle, answer_vertex(vertex), *triangle, ANSWER_EOS]
+        with pytest.raises(MalformedSequenceError, match="record 6: .*not three integers"):
+            write(TokenSequence(7, "dfs", outputs), tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("write", [write_stream, write_text_stream])
