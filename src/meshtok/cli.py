@@ -130,21 +130,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     ref = read_obj(args.reference)
     report = evaluate(src, ref, samples=args.samples, seed=args.seed)
     if args.json:
+        import dataclasses
         import json
 
-        print(
-            json.dumps(
-                {
-                    "cd": report.cd,
-                    "nc": report.nc,
-                    "abs_nc": report.abs_nc,
-                    "flipped": report.flipped,
-                    "samples": report.samples,
-                    "seed": report.seed,
-                },
-                separators=(",", ":"),
-            )
-        )
+        print(json.dumps(dataclasses.asdict(report), separators=(",", ":")))
     else:
         print(f"cd={report.cd:g} nc={report.nc:g} abs_nc={report.abs_nc:g}")
     return 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import countOf
 from typing import NamedTuple
 
 import numpy as np
@@ -99,15 +100,28 @@ def dequantize_coord(q: int, bits: int) -> float:
     return (q + 0.5) / (1 << bits) - 0.5
 
 
+def require_triples(records: list, kind: str) -> None:
+    """Raise ValueError, naming the first of ``records`` (each a ``kind``)
+    that does not hold three entries. Flattened, a record of four and one of
+    two would read as two records of three."""
+    if countOf(map(len, records), 3) != len(records):
+        i = next(i for i, r in enumerate(records) if len(r) != 3)
+        raise ValueError(f"{kind} {i} holds {len(records[i])} entries, not three")
+
+
 def face_array(mesh: QuantizedMesh) -> np.ndarray:
-    """The face vertex indices as an (m, 3) int64 array, read in one pass
-    over ``mesh.faces``. Raises OverflowError for an index beyond int64."""
+    """The face vertex indices as an (m, 3) int64 array. Raises ValueError
+    for a face that is not three indices, OverflowError for an index beyond
+    int64."""
+    require_triples(mesh.faces, "face")
     flat = np.fromiter(chain.from_iterable(mesh.faces), np.int64, 3 * len(mesh.faces))
     return flat.reshape(-1, 3)
 
 
 def vertex_array(mesh: QuantizedMesh) -> np.ndarray:
-    """The grid coordinates as an (n, 3) int64 array."""
+    """The grid coordinates as an (n, 3) int64 array. Raises ValueError for
+    a vertex that is not three coordinates."""
+    require_triples(mesh.vertices, "vertex")
     flat = np.fromiter(chain.from_iterable(mesh.vertices), np.int64, 3 * len(mesh.vertices))
     return flat.reshape(-1, 3)
 

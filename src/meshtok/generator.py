@@ -399,4 +399,4 @@ class PipePredictor:
         line = self.responses.readline()
         if not line:
             raise DesyncError("external predictor closed the pipe")
-        return answer_from_json(line)
+        return answer_from_json(line.removesuffix("\n"))

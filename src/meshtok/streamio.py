@@ -32,14 +32,15 @@ their repeats up; ``write_text_stream`` formats each distinct answer once, and
 ``write_obj`` each distinct grid coordinate and face index, then builds each
 section with one ``str.format`` call. A text record exactly as the writer
 formats it is converted without the JSON decoder; any other line is decoded
-as JSON, which gives the same answer or the same error. ``read_obj`` parses
-a file of plain ``v x y z`` and ``f i j k [l ...]`` lines, the layout
-``write_obj`` writes, in batches of about 2^14 characters: each batch is
-joined, split into tokens and converted in a few whole-batch calls, and each
-distinct vertex line of the file is converted once. Any other file, and any
-file with an error, goes to the line reader, which checks each line as it
-reads it. Every error still names the first bad line or record, exactly as a
-record-by-record reader would.
+as JSON, which gives the same answer or the same error. ``read_obj`` reads
+a well-formed OBJ file in batches of about 2^14 characters: its ``v`` lines
+of three coordinates and its ``f`` lines of three or more indices (``a/b/c``
+references allowed) are joined, split into tokens and converted in a few
+whole-batch calls, each distinct vertex line of the file once, and every
+other line is ignored. Any other file, and any file with an error, goes to
+the line reader, which checks each line as it reads it. Every error still
+names the first bad line or record, exactly as a record-by-record reader
+would.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .core import (
     QuantizedMesh,
     QuantizedVertex,
     dequantize_coord,
+    require_triples,
     valid_bits,
 )
 from .sequencer import (
@@ -135,27 +137,30 @@ def read_obj(path: Union[str, Path]) -> MeshReal:
     everything else is ignored. Polygons are fan-triangulated.
 
     The file is read as UTF-8 and a leading byte-order mark is skipped. A
-    file made only of plain lines, ``v x y z`` and ``f`` with three or more
-    positive integer indices, as ``write_obj`` writes them, is parsed in
-    batches of lines by ``_read_plain_obj``. Any other file, and every file
-    with an error in it, is read again from its start by the line reader,
-    ``_read_obj_lines``, which names the first bad line. Both give the same
-    mesh.
+    file whose `v` lines have three coordinates and whose `f` lines have
+    three or more indices is parsed in batches of lines by
+    ``_read_plain_obj``; comments, blank lines and other keywords are
+    ignored. Any other file, such as one with a fourth vertex coordinate, and
+    every file with an error in it, is read again from its start by the line
+    reader, ``_read_obj_lines``, which names the first bad line. Both give
+    the same mesh.
     """
     mesh = _read_plain_obj(path)
     return mesh if mesh is not None else _read_obj_lines(path)
 
 
 def _read_plain_obj(path: Union[str, Path]) -> MeshReal | None:
-    """The mesh of a file of plain `v` and `f` lines, or None once a line is
-    anything else, a token does not parse, a coordinate is not finite, an
-    index is below 1 or past the last vertex, or the text is not UTF-8.
+    """The mesh of a file of `v` and `f` lines and lines it ignores, or None
+    once a `v` line has other than three coordinates, a token does not parse,
+    a coordinate is not finite, an index is below 1 or past the last vertex,
+    or the text is not UTF-8.
 
     Each ``readlines`` batch is counted into vertex and face lines by
-    searching its joined text for line starts "v " and "f "; only a batch
-    that holds both kinds is split line by line. Each kind is joined and
-    split into tokens once and converted by ``float`` or ``int`` mapped over
-    the tokens. A vertex line that repeats an earlier one, as every shared
+    searching its joined text for line starts "v " and "f "; a batch that
+    holds both kinds is split line by line, and one that holds other lines
+    too is sorted by each line's first token. Each kind is joined and split
+    into tokens once and converted by ``float`` or ``int`` mapped over the
+    tokens. A vertex line that repeats an earlier one, as every shared
     corner of an unwelded file does, is converted once and looked up after;
     when the first _MEMO_TRIAL vertex lines are all distinct, the file is
     taken as welded and repeats are no longer looked for.
@@ -179,8 +184,13 @@ def _read_plain_obj(path: Union[str, Path]) -> MeshReal | None:
                 n_v = text.startswith("v ") + text.count("\nv ")
                 n_f = text.startswith("f ") + text.count("\nf ")
                 if n_v + n_f != len(batch):
-                    return None
-                if n_v and n_f:
+                    # Other lines too: sort the lines by their first token,
+                    # and ignore all but "v" and "f" ones.
+                    first = [(line.split(None, 1) or [""])[0] for line in batch]
+                    vert_lines = list(compress(batch, map("v".__eq__, first)))
+                    face_lines = list(compress(batch, map("f".__eq__, first)))
+                    n_v = len(vert_lines)
+                elif n_v and n_f:
                     is_v = list(map(str.startswith, batch, repeat("v ")))
                     vert_lines = list(compress(batch, is_v))
                     face_lines = list(compress(batch, map(not_, is_v)))
@@ -221,7 +231,7 @@ def _read_plain_obj(path: Union[str, Path]) -> MeshReal | None:
 
 
 def _plain_vertices(lines: Collection[str]) -> np.ndarray | None:
-    """The (n, 3) coordinates of ``n`` lines that start with "v ", or None
+    """The (n, 3) coordinates of ``n`` lines whose first token is "v", or None
     unless each has exactly three finite coordinates.
 
     The joined lines split into 4n tokens. Unless each line has four, some
@@ -241,15 +251,19 @@ def _plain_vertices(lines: Collection[str]) -> np.ndarray | None:
 
 
 def _plain_triangles(lines: list[str]) -> np.ndarray | None:
-    """The (t, 3) 1-based corners of ``n`` lines that start with "f ", each
-    fan-triangulated, or None unless every token after the "f" is an integer
-    of at least 1 and each line has three or more of them.
+    """The (t, 3) 1-based corners of ``n`` lines whose first token is "f",
+    each fan-triangulated, or None unless every token after the "f", up to
+    its first "/", is an integer of at least 1 and each line has three or
+    more of them.
 
     When the joined lines split into 4n or 5n tokens with an "f" at every
     fourth or fifth one, every line has that many tokens, since no index
     that ``int`` accepts is "f"; otherwise each line is split on its own."""
     n = len(lines)
-    tokens = " ".join(lines).split()
+    text = " ".join(lines)
+    tokens = text.split()
+    if "/" in text:  # a/b/c references: the index is the part before the "/"
+        tokens = [token.partition("/")[0] for token in tokens]
     width = len(tokens) // n
     if len(tokens) == width * n and width in (4, 5) and tokens[::width].count("f") == n:
         sizes = None  # all triangles, or all quads
@@ -280,32 +294,14 @@ def _plain_triangles(lines: list[str]) -> np.ndarray | None:
 
 def _read_obj_lines(path: Union[str, Path]) -> MeshReal:
     """``read_obj`` line by line, for any file: each line is checked as it is
-    read, and the first bad one is named.
-
-    Lines go into flat lists of coordinates and 1-based indices. A vertex
-    line that repeats an earlier one, as every shared corner of an unwelded
-    file does, reuses that line's checked coordinates; when the first
-    _MEMO_TRIAL vertex lines are all distinct, the file is taken as welded
-    and lines are no longer looked up. Lines of three or four plain indices,
-    all at least 1, take a fast path; any other face line is parsed token by
-    token. A face that references a missing vertex is reported once the whole
-    file is read.
-    """
+    read, and the first bad one is named. A face that references a missing
+    vertex is reported once the whole file is read."""
     coords: list[float] = []
     corners: list[int] = []  # 1-based indices, three per triangle
     face_lines: list[int] = []  # line of each triangle
-    # Vertex line -> its coordinates; None once the first _MEMO_TRIAL vertex
-    # lines turned out all distinct.
-    seen: dict[str, tuple[float, float, float]] | None = {}
-    isfinite = math.isfinite
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().removeprefix("\ufeff")  # skip a byte-order mark
         for lineno, raw in enumerate(chain((first,), fh), 1):
-            if seen is not None:
-                xyz = seen.get(raw)
-                if xyz is not None:
-                    coords += xyz
-                    continue
             parts = raw.split()
             if not parts:
                 continue
@@ -314,36 +310,27 @@ def _read_obj_lines(path: Union[str, Path]) -> MeshReal:
                 if len(parts) < 4:
                     raise ObjParseError("vertex needs three coordinates", lineno)
                 try:
-                    x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+                    xyz = float(parts[1]), float(parts[2]), float(parts[3])
                 except ValueError:
                     raise ObjParseError("bad vertex coordinate", lineno) from None
-                if not (isfinite(x) and isfinite(y) and isfinite(z)):
+                if not all(map(math.isfinite, xyz)):
                     raise ObjParseError("non-finite vertex coordinate", lineno)
-                xyz = x, y, z
                 coords += xyz
-                if seen is not None:
-                    seen[raw] = xyz
-                    if len(seen) == _MEMO_TRIAL and len(coords) == 3 * _MEMO_TRIAL:
-                        seen = None  # a welded file: its lines do not repeat
             elif kw == "f":
-                n = len(parts)
-                if (n == 4 or n == 5) and "/" not in raw:
+                idx: list[int] = []
+                for token in parts[1:]:
+                    head = token.split("/")[0]
                     try:
-                        if n == 4:
-                            a, b, c = int(parts[1]), int(parts[2]), int(parts[3])
-                            if a > 0 and b > 0 and c > 0:
-                                corners += (a, b, c)
-                                face_lines.append(lineno)
-                                continue
-                        else:
-                            a, b, c, d = map(int, parts[1:])
-                            if a > 0 and b > 0 and c > 0 and d > 0:
-                                corners += (a, b, c, a, c, d)
-                                face_lines += (lineno, lineno)
-                                continue
+                        value = int(head)
                     except ValueError:
-                        pass  # the token-by-token parse names the bad token
-                idx = _face_indices(parts, lineno)
+                        raise ObjParseError(f"bad face index {head!r}", lineno) from None
+                    if value < 0:
+                        raise ObjParseError("negative indices are not supported", lineno)
+                    if value == 0:
+                        raise ObjParseError("face indices are 1-based", lineno)
+                    idx.append(value)
+                if len(idx) < 3:
+                    raise ObjParseError("face needs at least three vertices", lineno)
                 for k in range(1, len(idx) - 1):
                     corners += (idx[0], idx[k], idx[k + 1])
                     face_lines.append(lineno)
@@ -355,31 +342,14 @@ def _read_obj_lines(path: Union[str, Path]) -> MeshReal:
     return MeshReal(xyz, (np.array(corners, dtype=np.int64) - 1).reshape(-1, 3))
 
 
-def _face_indices(parts: list[str], lineno: int) -> list[int]:
-    """The 1-based indices of one `f` line, checked token by token."""
-    idx: list[int] = []
-    for token in parts[1:]:
-        head = token.split("/")[0]
-        try:
-            value = int(head)
-        except ValueError:
-            raise ObjParseError(f"bad face index {head!r}", lineno) from None
-        if value < 0:
-            raise ObjParseError("negative indices are not supported", lineno)
-        if value == 0:
-            raise ObjParseError("face indices are 1-based", lineno)
-        idx.append(value)
-    if len(idx) < 3:
-        raise ObjParseError("face needs at least three vertices", lineno)
-    return idx
-
-
 def write_obj(mesh: Union[QuantizedMesh, MeshReal], path: Union[str, Path]) -> None:
     """Write vertices and faces; quantized meshes are written at their grid
     cell centers, so reading back and re-quantizing reproduces them exactly."""
     if isinstance(mesh, QuantizedMesh):
         if not mesh.vertices or not mesh.faces:
             raise EmptyMeshError("refusing to write a mesh without vertices or faces")
+        require_triples(mesh.vertices, "vertex")
+        require_triples(mesh.faces, "face")
         bits = mesh.bits
         coord = _Once(lambda q: f"{dequantize_coord(q, bits):.9g}")
         index = _Once(lambda i: str(i + 1))

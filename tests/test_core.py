@@ -14,10 +14,13 @@ from meshtok.core import (
     connected_components,
     dequantize_coord,
     dequantize_mesh,
+    face_array,
     quantize_coord,
     validate_manifold,
+    vertex_array,
 )
 from meshtok.metrics import _face_geometry
+from meshtok.sequencer import encode
 from helpers import union_find_components, winding_flipped
 
 
@@ -77,6 +80,20 @@ class TestValidateManifold:
     def test_global_winding_flip_preserves_validity(self, corpus7):
         for name, mesh in corpus7:
             assert validate_manifold(winding_flipped(mesh)).ok, name
+
+
+class TestRecordArrays:
+    # Flattened, a record of four entries and one of two read as two triples.
+    def test_vertex_of_four_and_one_of_two_rejected(self):
+        mesh = QuantizedMesh([(1, 2, 3, 4), (5, 6), (7, 8, 9)], [Face(0, 1, 2)], 7)
+        with pytest.raises(ValueError, match="vertex 0 holds 4 entries, not three"):
+            vertex_array(mesh)
+
+    def test_face_of_four_and_one_of_two_rejected(self):
+        mesh = QuantizedMesh([QuantizedVertex(i, 0, 0) for i in range(6)], [(0, 1, 2, 3), (4, 5)], 7)
+        for check in (face_array, validate_manifold, encode):
+            with pytest.raises(ValueError, match="face 0 holds 4 entries, not three"):
+                check(mesh)
 
 
 class TestConnectedComponents:

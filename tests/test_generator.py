@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from meshtok.generator import (
     IllegalAnswerError,
     PipePredictor,
     PredictorAnswer,
+    PredictorQuery,
     answer_from_json,
     answer_to_json,
     answer_vertex,
@@ -39,6 +42,7 @@ from meshtok.generator import (
     replay_outputs,
     run,
 )
+from meshtok import streamio
 from meshtok.streamio import FormatError
 from helpers import canonical_faces, reference_run, reusing_predictor
 
@@ -456,6 +460,24 @@ class TestPipeProtocol:
             server.join(timeout=10)
         assert piped.transcript == direct.transcript
         assert piped.mesh == direct.mesh
+
+    def test_canonical_answers_skip_the_json_decoder(self, monkeypatch):
+        # A sampler's answers, written as answer_to_json writes them, end in a
+        # newline; the predictor reads them without the JSON decoder.
+        answers = [answer_vertex(QuantizedVertex(1, 2, 3)), ANSWER_STOP, ANSWER_EOS]
+        responses = io.StringIO("".join(answer_to_json(a) + "\n" for a in answers))
+        predictor = PipePredictor(io.StringIO(), responses)
+        query = PredictorQuery(step=0, kind=SOS, component=0, stack_depth=0)
+        loads = mock.Mock(wraps=json.loads)
+        monkeypatch.setattr(streamio.json, "loads", loads)
+        assert [predictor(query) for _ in answers] == answers
+        loads.assert_not_called()
+
+    def test_blank_answer_is_a_format_error(self):
+        predictor = PipePredictor(io.StringIO(), io.StringIO("\n"))
+        query = PredictorQuery(step=0, kind=SOS, component=0, stack_depth=0)
+        with pytest.raises(FormatError, match=r"answer line: .*line 1 column 1 \(char 0\)"):
+            predictor(query)
 
     def test_wire_forms_roundtrip(self):
         answers = [answer_vertex(QuantizedVertex(1, 2, 3)), ANSWER_STOP, ANSWER_EOS]

@@ -12,11 +12,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex
+from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex, dequantize_mesh
 from meshtok import generator
 from meshtok.generator import GeneratorConfig, answer_from_json, fuzz_predictor, replay_outputs, run
+from meshtok.preprocess import augment
 from meshtok.sequencer import (
     ANSWER_EOS,
     ANSWER_STOP,
@@ -128,7 +129,9 @@ def _obj_files(draw, repeats: bool = False) -> bytes:
 
 def _compare_read_obj(path: Path, data: bytes) -> None:
     path.write_bytes(data)
-    assert _outcome(read_obj, path) == _outcome(reference_read_obj, path)
+    want = _outcome(reference_read_obj, path)
+    assert _outcome(read_obj, path) == want
+    assert _outcome(streamio._read_obj_lines, path) == want
 
 
 # Each named case runs with the vertex-line memo as it ships (True) and with
@@ -225,13 +228,14 @@ def test_read_obj_examples_match_reference(tmp_path, monkeypatch, text, memo):
     _compare_read_obj(tmp_path / "m.obj", text.encode("utf-8"))
 
 
-# --- the batch path for plain files ------------------------------------------
+# --- the batch path for well-formed files ------------------------------------
 #
-# A file of plain `v x y z` lines and `f` lines of three or more positive
-# integer indices is read in batches by ``_read_plain_obj``; everything else,
-# and every error, goes to the line reader ``_read_obj_lines``. Each case
-# below checks both paths against the reference, with batches cut down so
-# that they split the file at every line.
+# A file whose `v` lines have three coordinates and whose `f` lines have three
+# or more positive indices (`a/b/c` references allowed) is read in batches by
+# ``_read_plain_obj``, which ignores every other line; the rest, and every
+# error, goes to the line reader ``_read_obj_lines``. Each case below checks
+# both paths against the reference, with batches cut down so that they split
+# the file at every line.
 
 _PLAIN_COORDS = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False, width=64).map(repr),
@@ -345,6 +349,14 @@ def test_plain_files_with_mixed_lines(tmp_path, monkeypatch, text, batch):
     assert _compare_both_paths(tmp_path / "m.obj", text.encode("utf-8"))
 
 
+_BLENDER = (
+    "# Blender 4.1\nmtllib m.mtl\no Cube\n"
+    + _PLAIN_HEAD
+    + "vn 0 0 -1\nvn 0 0 1\nvt 0 0\nvt 1 0\ns 0\nusemtl Material\n"
+    + "f 1//1 4//1 3//1 2//1\nf 1/1/2 2/2/2 5/1/2\nf 2/2 3/1 5/2\n"
+)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -353,13 +365,64 @@ def test_plain_files_with_mixed_lines(tmp_path, monkeypatch, text, batch):
         _PLAIN_HEAD + "vn 0 0 1\nf 1 2 3\n",
         _PLAIN_HEAD + "\nf 1 2 3\n",  # a blank line
         _PLAIN_HEAD + " f 1 2 3\n",  # a leading space
-        _PLAIN_HEAD + "v 1 2 3 1\nf 1 2 6\n",  # a vertex weight
         _PLAIN_HEAD + "v\t1 2 3\nf 1 2 6\n",
+        _BLENDER,
+        _PLAIN_HEAD + "f 1//1 2//1 3//1 4//1\nf 1//2 2//2 5//2\n",  # slashes, mixed sizes
+        "#v 1 2\n\n" + _PLAIN_HEAD + "g a\nf 1 2 3 4 5\nvt 1\nf 1/ 2/ 3/\n",
     ],
-    ids=["comment", "slashes", "normal", "blank", "leading_space", "weight", "tab"],
+    ids=[
+        "comment", "slashes", "normal", "blank", "leading_space", "tab", "blender",
+        "slashes_mixed", "other_keywords",
+    ],
+)
+@pytest.mark.parametrize("batch", [1, 1 << 16])
+def test_exported_files_take_the_batch_path(tmp_path, monkeypatch, text, batch):
+    monkeypatch.setattr(streamio, "_BATCH_CHARS", batch)
+    assert _compare_both_paths(tmp_path / "m.obj", text.encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _PLAIN_HEAD + "v 1 2 3 1\nf 1 2 6\n",  # a vertex weight
+        _PLAIN_HEAD + "v 1 2 3 # a comment\nf 1 2 6\n",
+    ],
+    ids=["weight", "trailing_comment"],
 )
 def test_other_valid_files_take_the_line_reader(tmp_path, text):
     assert not _compare_both_paths(tmp_path / "m.obj", text.encode("utf-8"))
+
+
+def _reads_three_coordinates(path: Path) -> bool:
+    """Whether the reference reads the file and each of its `v` lines has
+    exactly three coordinates."""
+    try:
+        reference_read_obj(path)
+    except (ValueError, UnicodeDecodeError):
+        return False
+    with open(path, encoding="utf-8") as fh:
+        return all(len(parts) == 4 for parts in map(str.split, fh) if parts[:1] == ["v"])
+
+
+@SETTINGS
+@given(data=_obj_files(), batch=st.sampled_from([1, 30, 1 << 16]))
+def test_well_formed_files_take_the_batch_path(tmp_path, monkeypatch, data, batch):
+    # _obj_files draws no byte-order mark, which the reference does not skip.
+    path = tmp_path / "m.obj"
+    path.write_bytes(data)
+    assume(_reads_three_coordinates(path))
+    monkeypatch.setattr(streamio, "_BATCH_CHARS", batch)
+    assert streamio._read_plain_obj(path) is not None
+
+
+def test_written_files_take_the_batch_path(tmp_path, corpus7):
+    # Every OBJ that meshtok writes: quantized meshes, as preprocess and
+    # detokenize write them, and real ones, as augment writes them.
+    path = tmp_path / "m.obj"
+    for name, mesh in corpus7:
+        for written in (mesh, augment(dequantize_mesh(mesh), seed=3)):
+            write_obj(written, path)
+            assert streamio._read_plain_obj(path) is not None, name
 
 
 @pytest.mark.parametrize("bad", ["v 0 0 nan\n", "f 1 0 2\n", ""])

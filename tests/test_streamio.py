@@ -123,6 +123,22 @@ class TestWriteObj:
         with pytest.raises(EmptyMeshError):
             write_obj(QuantizedMesh([], [], 7), tmp_path / "empty.obj")
 
+    @pytest.mark.parametrize(
+        "vertices, faces, message",
+        [
+            ([(1, 2, 3, 4), (5, 6), (7, 8, 9)], [(0, 1, 2)], "vertex 0 holds 4 entries"),
+            ([(0, 0, 0)] * 6, [(0, 1, 2, 3), (4, 5)], "face 0 holds 4 entries"),
+            ([(0, 0, 0)] * 6, [(0, 1, 2), (3, 4, 5), (4, 5)], "face 2 holds 2 entries"),
+        ],
+        ids=["vertices", "faces", "short_face"],
+    )
+    def test_records_that_are_not_three_entries_rejected(self, tmp_path, vertices, faces, message):
+        # Flattened, the first two meshes' records would read as well-formed triples.
+        path = tmp_path / "shifted.obj"
+        with pytest.raises(ValueError, match=message):
+            write_obj(QuantizedMesh(vertices, faces, 7), path)
+        assert not path.exists()
+
 
 class TestBinaryStream:
     def test_single_triangle_file_is_36_bytes(self, triangle, tmp_path):
