@@ -12,12 +12,28 @@ averages unit-normal cosine similarity over both directions:
 Faces with zero area carry no normal; they are skipped and excluded from the
 averages on both sides.
 
-The nearest-face search is exact but pruned: a KD-tree over the reference
-centroids bounds which faces can be closest, and only those are measured
-(``closest_faces``). It returns the same faces and distances as measuring
+The nearest-face search is exact but pruned (``closest_faces``). Every point
+of a face lies within its reach, the largest centroid-to-corner distance, of
+its centroid. The reference faces are grouped into classes of reach, by
+halvings from the largest, each with a KD-tree over its centroids. One
+k-nearest query per class bounds the answer by the distance ``ub`` to a
+nearest-centroid face, and for nearly every point it already holds every
+centroid within ``ub`` plus the class's reach; only those faces are
+measured. The search returns the same faces and distances as measuring
 every (point, face) pair, with the same tie rule, in memory bounded by a
-fixed number of pairs per block. The region walk that measures one pair is
-Ericson, *Real-Time Collision Detection* (2004), section 5.1.5.
+fixed number of pairs per block. It stays n log n when face sizes are mixed,
+but not when the two meshes lie far apart: then ``ub`` is large, every ball
+holds most faces, and each point measures them all. The region walk that
+measures one pair is Ericson, *Real-Time Collision Detection* (2004),
+section 5.1.5.
+
+``chamfer`` queries each sample set against the other's KD-tree in the
+order of its own tree, so that points near each other are queried one
+after another; the mean is taken in input order, so the value does not
+depend on the query order.
+
+Coordinates so large (beyond about 1e77) that a face area or a search
+radius overflows raise ``EmptySurfaceError`` instead of giving an answer.
 """
 
 from __future__ import annotations
@@ -32,6 +48,9 @@ from .core import MeshReal
 _DEGENERATE_AREA = 1e-12
 _TIE_EPS = 1e-12
 _PAIR_BUDGET = 1 << 15  # (point, face) pairs measured at once
+_NEAREST_K = 16  # centroids each point asks every class tree for at once
+_REACH_CLASSES = 16  # classes of face reach; the last takes every smaller reach
+_RADIUS_OVERFLOW = "coordinates too large: a search radius overflows"
 
 
 class EmptySurfaceError(ValueError):
@@ -68,8 +87,11 @@ def _face_geometry(mesh: MeshReal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def sample_surface(mesh: MeshReal, n: int, seed: int = 0) -> np.ndarray:
     """Area-weighted uniform surface samples, deterministic per seed."""
     a, b, c = _triangle_corners(mesh)
-    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-    total = float(areas.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        total = float(areas.sum())
+    if not np.isfinite(total):
+        raise EmptySurfaceError("coordinates too large: the surface area overflows")
     if total <= 0.0:
         raise EmptySurfaceError("every face has zero area")
     rng = np.random.default_rng(seed)
@@ -95,9 +117,20 @@ def chamfer(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
     pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 3)
     if len(pts_a) == 0 or len(pts_b) == 0:
         raise ValueError("chamfer needs two non-empty point sets")
-    d_ab = cKDTree(pts_b).query(pts_a, workers=1)[0]
-    d_ba = cKDTree(pts_a).query(pts_b, workers=1)[0]
-    return 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
+    tree_a = cKDTree(pts_a, balanced_tree=False)
+    tree_b = cKDTree(pts_b, balanced_tree=False)
+    return 0.5 * (_mean_nearest(pts_a, tree_a, tree_b) + _mean_nearest(pts_b, tree_b, tree_a))
+
+
+def _mean_nearest(pts: np.ndarray, own, other) -> float:
+    """Mean distance from each of ``pts`` to the nearest point of ``other``.
+    The points are queried in the order of their own tree ``own``, so
+    neighbours in space are queried one after another, and each query is
+    independent; the mean is taken in input order."""
+    order = own.indices
+    dist = np.empty(len(pts))
+    dist[order] = other.query(pts[order], workers=1)[0]
+    return float(dist.mean())
 
 
 def _point_segment_distance(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> float:
@@ -263,49 +296,137 @@ def _nearest_of(
     return dist[cols == np.repeat(best, sizes)], best
 
 
+def _reach_classes(reach: np.ndarray) -> list[np.ndarray]:
+    """Face indices grouped by reach: class c holds the faces whose reach lies
+    in (R / 2^(c+1), R / 2^c], R the largest reach, and the last class also
+    every smaller reach, zero included. Empty classes are left out; the
+    indices of a class ascend."""
+    last = _REACH_CLASSES - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        halvings = np.log2(reach.max() / reach)
+    labels = np.where(reach > 0.0, np.minimum(np.floor(halvings), last), last).astype(np.intp)
+    return [np.flatnonzero(labels == label) for label in np.unique(labels)]
+
+
 def closest_faces(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closest triangle per query point: (exact distance, face index), ties
     within _TIE_EPS of the minimum resolved to the lowest face index.
 
     The result equals a search over every (point, face) pair, but only faces
-    that can be closest are measured. The distance ``ub`` to the face whose
-    centroid is nearest bounds the answer, and every point of a face lies
-    within ``R``, the largest centroid-to-vertex distance, of its centroid;
-    so a ball of radius ``ub + R`` (plus a rounding margin) around the point
-    holds the centroid of every face the full search could pick. Points are
-    measured in blocks of at most _PAIR_BUDGET pairs, which bounds memory; a
-    point whose ball holds more than half of the faces takes them all
-    without listing them.
+    that can be closest are measured. Every point of a face lies within its
+    reach, the largest centroid-to-corner distance, of its centroid. The
+    faces are grouped into classes of reach by halvings from the largest
+    (``_reach_classes``), each with a KD-tree over its centroids and its own
+    largest reach ``R``; faces of similar size, a reach ratio below 2, make
+    one class. The distance ``ub`` to each class's nearest-centroid face, at
+    its smallest over the classes, bounds the answer. So a ball of radius
+    ``ub + R`` plus a rounding margin holds the centroid of every face of
+    its class that the full search could pick; the margin exceeds the
+    rounding of any distance, so a centroid at the edge of a ball is neither
+    the answer nor within the tie window of it.
+
+    One k-nearest query per class (``_NEAREST_K`` centroids) gives ``ub``
+    and, for a point whose k-th centroid lies beyond its radius, the whole
+    ball; of those centroids, a face is measured only if its own reach can
+    bring it within ``ub``. Only the other points ask the tree for their
+    ball: listed if it holds at most half of the class, else every face of
+    the class is taken without listing. One tie rule picks among the
+    candidates of all classes. Points are searched in runs whose k-nearest
+    arrays hold about _PAIR_BUDGET entries, and measured in blocks of at
+    most _PAIR_BUDGET pairs, which bounds memory.
     """
-    n, m = len(points), len(a)
+    n = len(points)
     dists = np.empty(n, dtype=np.float64)
     idxs = np.empty(n, dtype=np.int64)
     if n == 0:
         return dists, idxs
     from scipy.spatial import cKDTree
 
-    centroids = (a + b + c) / 3.0
-    reach = max(float(np.linalg.norm(v - centroids, axis=1).max()) for v in (a, b, c))
-    # Distances carry rounding errors relative to the size of the coordinates.
-    slack = _TIE_EPS + 1e-9 * (float(np.abs(points).max()) + float(np.abs(centroids).max()) + reach)
-    tree = cKDTree(centroids)
-    near = tree.query(points, workers=1)[1]
-    radii = _triangle_distances(points, a[near], b[near], c[near]) + reach + slack
-    counts = tree.query_ball_point(points, radii, workers=1, return_length=True)
-    listed = np.flatnonzero(2 * counts <= m)
-    for lo, hi in _blocks(counts[listed]):
-        rows = listed[lo:hi]
-        balls = tree.query_ball_point(points[rows], radii[rows], workers=1)
-        sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(rows))
-        cols = np.fromiter(chain.from_iterable(balls), dtype=np.int64, count=int(sizes.sum()))
-        dist = _triangle_distances(np.repeat(points[rows], sizes, axis=0), a[cols], b[cols], c[cols])
-        dists[rows], idxs[rows] = _nearest_of(dist, sizes, cols, m)
-    every = np.flatnonzero(2 * counts > m)
-    for lo, hi in _blocks(np.full(len(every), m)):
-        rows = every[lo:hi]
-        dist = _triangle_distances(points[rows, None], a, b, c).ravel()
-        sizes = np.full(len(rows), m)
-        dists[rows], idxs[rows] = _nearest_of(dist, sizes, np.tile(np.arange(m), len(rows)), m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centroids = (a + b + c) / 3.0
+        reach = np.maximum.reduce([np.linalg.norm(v - centroids, axis=1) for v in (a, b, c)])
+        # Distances carry rounding errors relative to the size of the coordinates.
+        slack = _TIE_EPS + 1e-9 * (float(np.abs(points).max()) + float(np.abs(centroids).max()) + float(reach.max()))
+    if not np.isfinite(slack):
+        raise EmptySurfaceError(_RADIUS_OVERFLOW)
+    classes = [
+        (members, cKDTree(centroids[members]), float(reach[members].max()))
+        for members in _reach_classes(reach)
+    ]
+    # Runs of points whose k-nearest arrays hold about _PAIR_BUDGET entries.
+    step = max(1, _PAIR_BUDGET // sum(min(_NEAREST_K, len(members)) for members, _, _ in classes))
+    for lo in range(0, n, step):
+        run = slice(lo, lo + step)
+        dists[run], idxs[run] = _search(points[run], a, b, c, reach, slack, classes)
+    return dists, idxs
+
+
+def _search(
+    points: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    reach: np.ndarray,
+    slack: float,
+    classes: list,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``closest_faces`` for a run of points, given the reach classes as
+    (face indices, KD-tree over their centroids, largest reach)."""
+    n, m = len(points), len(a)
+    ub = np.full(n, np.inf)
+    queried = []
+    for members, tree, _ in classes:
+        k = min(_NEAREST_K, len(members))
+        near_dist, near = (x.reshape(n, k) for x in tree.query(points, k=k, workers=1))
+        if not np.isfinite(near_dist[:, 0]).all():
+            raise EmptySurfaceError(_RADIUS_OVERFLOW)
+        nearest = members[near[:, 0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ub = np.minimum(ub, _triangle_distances(points, a[nearest], b[nearest], c[nearest]))
+        queried.append((near_dist, members[near]))
+
+    sizes = np.zeros(n, dtype=np.int64)
+    parts = []
+    for (members, tree, top), (near_dist, near) in zip(classes, queried):
+        radii = ub + top + slack
+        if not np.isfinite(radii).all():
+            raise EmptySurfaceError(_RADIUS_OVERFLOW)
+        # A found face is measured only if its own reach can bring it to ub.
+        found = near_dist <= (ub + slack)[:, None] + reach[near]
+        ball = np.zeros(n, dtype=np.int64)
+        if near.shape[1] < len(members):
+            # A point whose k-th centroid lies within its radius may have more.
+            unsure = np.flatnonzero(near_dist[:, -1] <= radii)
+            found[unsure] = False
+            ball[unsure] = tree.query_ball_point(points[unsure], radii[unsure], workers=1, return_length=True)
+        every = 2 * ball > len(members)
+        sizes += found.sum(axis=1) + np.where(every, len(members), ball)
+        parts.append((members, tree, radii, found, near, (ball > 0) & ~every, every))
+
+    dists = np.empty(n, dtype=np.float64)
+    idxs = np.empty(n, dtype=np.int64)
+    for lo, hi in _blocks(sizes):
+        rows, cols = [], []
+        for members, tree, radii, found, near, listed, every in parts:
+            hit = found[lo:hi]
+            rows.append(np.nonzero(hit)[0])
+            cols.append(near[lo:hi][hit])
+            ask = lo + np.flatnonzero(listed[lo:hi])
+            if len(ask):
+                balls = tree.query_ball_point(points[ask], radii[ask], workers=1)
+                counts = np.fromiter(map(len, balls), dtype=np.int64, count=len(ask))
+                rows.append(np.repeat(ask - lo, counts))
+                cols.append(members[np.fromiter(chain.from_iterable(balls), dtype=np.int64, count=int(counts.sum()))])
+            take = np.flatnonzero(every[lo:hi])
+            rows.append(np.repeat(take, len(members)))
+            cols.append(np.tile(members, len(take)))
+        pieces = sum(len(r) > 0 for r in rows)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        if pieces > 1:  # each piece ascends by point; group the pairs by point
+            order = np.argsort(rows, kind="stable")
+            rows, cols = rows[order], cols[order]
+        dist = _triangle_distances(points[lo + rows], a[cols], b[cols], c[cols])
+        dists[lo:hi], idxs[lo:hi] = _nearest_of(dist, sizes[lo:hi], cols, m)
     return dists, idxs
 
 

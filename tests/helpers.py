@@ -6,9 +6,10 @@ half-edge connectivity via the face-order dict loop that preceded the sort,
 step records via the index-based traversal that ``encode`` runs, without the
 decoder's position-keyed machine,
 normal consistency via scalar all-pairs loops, point-to-triangle distance
-via dense sampling on a barycentric lattice, nearest faces via a search
-over every (point, face) pair, quantization and silhouette masks via the
-per-vertex and per-triangle loops that the vectorized versions replaced,
+via dense sampling on a barycentric lattice, Chamfer distance via queries
+in input order, nearest faces via a search over every (point, face) pair,
+quantization and silhouette masks via the per-vertex and per-triangle
+loops that the vectorized versions replaced,
 silhouette cluster counts via ``scipy.ndimage.label``, file reading
 and writing via the per-record code that preceded the current, text
 records via the JSON decoder alone, machine steps via the face helper that
@@ -316,6 +317,20 @@ def random_triangle_soup(rng: np.random.Generator, n_verts: int, n_faces: int) -
             continue
         faces.append((a, b, c))
     return MeshReal(verts, np.asarray(faces))
+
+
+# The Chamfer distance that ``metrics.chamfer`` replaced: default trees,
+# points queried in input order. The tree-order queries must give the same
+# value, bit for bit.
+
+def reference_chamfer(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
+    from scipy.spatial import cKDTree
+
+    pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 3)
+    pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 3)
+    d_ab = cKDTree(pts_b).query(pts_a, workers=1)[0]
+    d_ba = cKDTree(pts_a).query(pts_b, workers=1)[0]
+    return 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
 
 
 # The dense nearest-face search that ``metrics.closest_faces`` replaced: every

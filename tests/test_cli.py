@@ -13,7 +13,7 @@ import pytest
 
 from meshtok import cli, generator, halfedge, sequencer
 from meshtok.cli import main
-from meshtok.core import Face, QuantizedMesh, QuantizedVertex
+from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex
 from meshtok.generator import DesyncError, decode
 from meshtok.preprocess import quantize
 from meshtok.procgen import tetrahedron, torus, two_component_scene
@@ -252,6 +252,24 @@ def test_non_finite_coordinates_are_a_format_error(tmp_path, capsys, bad):
         assert main(argv) == 2, argv[0]
         assert "line 3: non-finite vertex coordinate" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale", [1e78, 1e100, 1e200])
+def test_overflowing_coordinates_are_a_rejection(tmp_path, capsys, scale):
+    # Face areas overflow: no traceback, no wrong-category exit and no
+    # sample set piled on the last face.
+    obj = tmp_path / "huge.obj"
+    tetra = tetrahedron()
+    write_obj(MeshReal(tetra.vertices * scale, tetra.faces), obj)
+    out = tmp_path / "points.xyz"
+    for argv in (["metrics", str(obj), str(obj)], ["sample-pc", str(obj), "-o", str(out)]):
+        assert main(argv) == 1, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines and all(line.startswith("error: ") for line in lines), captured.err
+        assert "overflows" in captured.err
+    assert not out.exists()
 
 
 def test_malformed_text_stream_is_a_format_error(tmp_path, capsys):

@@ -18,7 +18,7 @@ from meshtok.metrics import (
     sample_surface,
 )
 from meshtok.preprocess import augment, normalize, quantize
-from meshtok.procgen import icosphere, torus
+from meshtok.procgen import icosphere, tetrahedron, torus
 from helpers import (
     barycentric_lattice,
     brute_force_normal_consistency,
@@ -26,6 +26,7 @@ from helpers import (
     dense_closest_faces,
     dense_sample_distance,
     random_triangle_soup,
+    reference_chamfer,
 )
 
 UNIT_RIGHT = MeshReal(
@@ -69,6 +70,13 @@ class TestSampleSurface:
         with pytest.raises(EmptySurfaceError):
             sample_surface(MeshReal(verts, np.array([[0, 1, 2]])), 10)
 
+    @pytest.mark.parametrize("scale", [1e78, 1e100, 1e200])
+    def test_overflowing_area_raises(self, scale):
+        # Every area would overflow to inf and every draw land on the last face.
+        tetra = tetrahedron()
+        with pytest.raises(EmptySurfaceError, match="overflows"):
+            sample_surface(MeshReal(tetra.vertices * scale, tetra.faces), 10)
+
 
 class TestChamfer:
     def test_identical_sets_zero(self):
@@ -101,6 +109,28 @@ class TestChamfer:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             chamfer(np.zeros((0, 3)), np.ones((4, 3)))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        m=st.integers(1, 300),
+        repeats=st.integers(0, 40),
+        grid=st.sampled_from([None, 2, 8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_as_input_order_queries(self, seed, n, m, repeats, grid):
+        # Tree-order queries give the mean of input-order queries bit for bit,
+        # with repeated points and, on a coarse grid, many equidistant ones.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, 3))
+        b = rng.normal(size=(m, 3))
+        a = np.concatenate([a, a[rng.integers(0, n, size=repeats)]])
+        b = np.concatenate([b, a[rng.integers(0, len(a), size=repeats)]])
+        if grid is not None:
+            a, b = np.round(a * grid) / grid, np.round(b * grid) / grid
+        a, b = rng.permutation(a), rng.permutation(b)
+        assert chamfer(a, b) == reference_chamfer(a, b)
+        assert chamfer(a[:1], b) == reference_chamfer(a[:1], b)
 
 
 TRI = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -190,6 +220,31 @@ def _sliver_scene(rng, n_small: int) -> MeshReal:
     return MeshReal(verts, np.arange(len(verts)).reshape(-1, 3))
 
 
+def _mixed_reach_triangles(rng, span: int, m: int, n_flat: int) -> np.ndarray:
+    """(m + n_flat, 3, 3) triangles in shuffled order: one face at size 1
+    and one at 2^-span, so the reach spans about 2^span, the rest at random
+    sizes in between, and ``n_flat`` zero-area faces at random sizes (two
+    corners coincident, all three, or collinear)."""
+    sizes = 2.0 ** np.concatenate([[0, -span], rng.uniform(-span, 0, size=m - 2)])
+    tris = rng.uniform(-0.5, 0.5, size=(m, 1, 3)) + sizes[:, None, None] * TRI
+    centres = rng.uniform(-0.5, 0.5, size=(n_flat, 1, 3))
+    ends = centres + 2.0 ** rng.uniform(-span, 0, size=(n_flat, 1, 1)) * rng.normal(size=(n_flat, 1, 3))
+    mid = centres + rng.uniform(0, 1, size=(n_flat, 1, 1)) * (ends - centres)
+    flat = np.stack([
+        np.concatenate([centres, centres, ends], axis=1),
+        np.concatenate([centres, ends, centres], axis=1),
+        np.concatenate([ends, centres, centres], axis=1),
+        np.repeat(centres, 3, axis=1),
+        np.concatenate([centres, mid, ends], axis=1),
+    ])[rng.integers(0, 5, size=n_flat), np.arange(n_flat)]
+    return rng.permutation(np.concatenate([tris, flat]))
+
+
+def _reach_span(tris: np.ndarray) -> float:
+    reach = np.linalg.norm(tris - tris.mean(axis=1, keepdims=True), axis=2).max(axis=1)
+    return reach.max() / reach[reach > 0].min()
+
+
 class TestClosestFaces:
     """The pruned search returns exactly what the dense search over every
     (point, face) pair returns: the same face indices, ties to the lowest,
@@ -234,6 +289,60 @@ class TestClosestFaces:
         meshes = [dequantize_mesh(mesh) for _, mesh in corpus7[4:9]]
         for src, ref in zip(meshes, meshes[1:]):
             _assert_pairs_same_as_dense(src, ref)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        span=st.integers(11, 40),
+        m=st.integers(2, 120),
+        n_flat=st.integers(1, 20),
+        n=st.integers(1, 150),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_reach(self, seed, span, m, n_flat, n):
+        # Face reach spans at least 2^10, so the faces fall in several reach
+        # classes; queries at the centroids, near the smallest faces and
+        # anywhere in the box.
+        rng = np.random.default_rng(seed)
+        tris = _mixed_reach_triangles(rng, span, m, n_flat)
+        assert _reach_span(tris) >= 2.0**10
+        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+        centroids = (a + b + c) / 3.0
+        near_small = centroids[rng.integers(0, len(tris), size=n)]
+        near_small += 2.0**-span * rng.normal(size=near_small.shape)
+        pts = np.concatenate([centroids, near_small, rng.uniform(-0.7, 0.7, size=(n, 3))])
+        _assert_same_as_dense(pts, a, b, c)
+
+    @pytest.mark.parametrize("budget", [40, None])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_few_nearest(self, corpus7, monkeypatch, k, budget):
+        # With one or two nearest centroids per class, most points ask the
+        # tree for their ball, and on the small solids a ball holds over half
+        # of a class, which is taken whole.
+        monkeypatch.setattr(metrics, "_NEAREST_K", k)
+        if budget is not None:
+            monkeypatch.setattr(metrics, "_PAIR_BUDGET", budget)
+        rng = np.random.default_rng(13)
+        _assert_pairs_same_as_dense(_sliver_scene(rng, 60), random_triangle_soup(rng, 20, 50))
+        meshes = [dequantize_mesh(mesh) for _, mesh in corpus7[:9]]
+        for src, ref in zip(meshes, meshes[1:]):
+            _assert_pairs_same_as_dense(src, ref)
+        tris = _mixed_reach_triangles(rng, 12, 80, 10)
+        pts = np.concatenate([tris.mean(axis=1), rng.uniform(-0.7, 0.7, size=(100, 3))])
+        _assert_same_as_dense(pts, tris[:, 0], tris[:, 1], tris[:, 2])
+
+    @pytest.mark.parametrize("scale", [1e78, 1e100, 1e200])
+    def test_overflowing_radius_raises(self, scale):
+        tetra = tetrahedron()
+        a, b, c = (tetra.vertices[tetra.faces[:, i]] * scale for i in range(3))
+        with pytest.raises(EmptySurfaceError, match="overflows"):
+            closest_faces((a + b + c) / 3.0, a, b, c)
+
+    def test_overflowing_centroid_distance_raises(self):
+        # A small face far from the points: its reach and the rounding margin
+        # are finite, but no centroid distance is.
+        a, b, c = TRI[None, 0] - 1e160, TRI[None, 1] - 1e160, TRI[None, 2] - 1e160
+        with pytest.raises(EmptySurfaceError, match="overflows"):
+            closest_faces(np.full((3, 3), 1e160), a, b, c)
 
     def test_box_spanning_sliver(self):
         rng = np.random.default_rng(5)
