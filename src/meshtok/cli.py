@@ -32,7 +32,7 @@ from .preprocess import (
     quantize,
     run_preprocess,
 )
-from .sequencer import InvalidMeshError, MalformedSequenceError, encode, sequence_stats
+from .sequencer import InvalidMeshError, MalformedSequenceError, encode
 from . import streamio
 from .streamio import (
     EmptyMeshError,
@@ -115,8 +115,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     bits, order, answers = streamio.read_stream_answers(args.input)
-    seq = replay_outputs(answers, bits, order).transcript
-    st = sequence_stats(seq)
+    st = replay_outputs(answers, bits, order).stats
     ratio = f"{st.ratio:.4f}" if st.ratio is not None else "n/a"
     print(
         f"length={st.length} faces={st.n_faces} components={st.n_components} "
@@ -164,16 +163,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     predictor = fuzz_predictor(args.seed, args.bits)
     cfg = GeneratorConfig(bits=args.bits, order=args.order, max_steps=args.max_steps)
     result = run(predictor, cfg)
-    transcript = result.transcript
-    stops = sum(1 for r in transcript.records if r.output_kind == "stop")
-    comps = sum(
-        1
-        for r in transcript.records
-        if r.input_kind == "sos" and r.output_kind == "vertex"
-    )
+    st = result.stats
     print(
-        f"halt={result.halt} steps={len(transcript.records)} "
-        f"faces={len(result.mesh.faces)} components={comps} stops={stops}"
+        f"halt={result.halt} steps={st.length} "
+        f"faces={st.n_faces} components={st.n_components} stops={st.n_stops}"
     )
     return 0
 

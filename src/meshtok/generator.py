@@ -8,15 +8,16 @@ callback for each answer and generates. Vertices are identified by quantized
 position: positions already seen are merged during assembly, and the output
 mesh is every emitted face over the union of seen vertices.
 
-The machine is strict and has one behaviour: a vertex that is not three
-integers on the ``2**bits`` grid, or an answer whose vertex does not fit its
-kind, is an illegal answer, a vertex that repeats an endpoint of its edge is
-a DesyncError naming its step, and a repeated face is emitted as recorded.
-Only ``run``, which answers a sampler, adjusts proposals the way inference
-does: it turns into STOP a face that repeats a vertex and, when
-``GeneratorConfig.duplicate_check`` is set, one that reuses a directed edge
-(``validate_manifold``'s rule) or flips an emitted face. Its transcripts
-record the STOP, so they replay cleanly.
+In every mode, a vertex that is not three integers on the ``2**bits``
+grid, or an answer whose vertex does not fit its kind, is an illegal
+answer. Replay runs the machine strictly: a vertex that repeats an endpoint
+of its edge is a DesyncError naming its step, and a repeated face is emitted
+as recorded. ``run``, which answers a sampler, runs it in coercing mode,
+which adjusts proposals the way inference does: the machine records STOP in
+place of a face that repeats a vertex and, when
+``GeneratorConfig.duplicate_check`` is set, of one that reuses a directed
+edge (``validate_manifold``'s rule) or flips an emitted face. Transcripts
+hold that STOP, so they replay cleanly.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .sequencer import (
     VERTEX,
     EdgePositions,
     PredictorAnswer,
+    SequenceStats,
     TokenSequence,
     answer_vertex,
     check_well_formed,
@@ -86,6 +88,16 @@ class RunResult:
     mesh: QuantizedMesh
     transcript: TokenSequence
     halt: str  # HALT_EOS | HALT_BUDGET
+    components: int  # components started, the last one perhaps cut by the budget
+
+    @property
+    def stats(self) -> SequenceStats:
+        """The transcript's counts, from what the machine did: every face it
+        emitted is in the mesh, and a STOP answers only EDGE."""
+        outputs = self.transcript.outputs
+        return SequenceStats.from_counts(
+            len(outputs), len(self.mesh.faces), self.components, outputs.count(ANSWER_STOP)
+        )
 
 
 class _Machine:
@@ -94,15 +106,20 @@ class _Machine:
     ``mode`` is the kind of the input the next answer must answer: SOS, SOS2,
     EDGE (``edge`` then holds the popped edge as vertex indices) or EOS once
     the run has ended. Pending edges hold vertex indices, so a face costs one
-    interning lookup, for its new vertex.
+    interning lookup, for its new vertex. A strict machine (the default)
+    raises DesyncError on a face that repeats a vertex; a coercing one
+    records STOP in place of it and, with ``duplicate_check``, of a face
+    that reuses a directed edge or flips an emitted face (see ``_claim``).
     """
 
-    def __init__(self, bits: int, order: str):
+    def __init__(self, bits: int, order: str, coerce: bool = False, duplicate_check: bool = False):
         if order not in (DFS, BFS):
             raise ValueError(f"unknown traversal order: {order!r}")
         require_valid_bits(bits)
         self.bits = bits
         self.order = order
+        self.coerce = coerce
+        self.edges: Optional[dict[int, int]] = {} if coerce and duplicate_check else None
         self.pending: deque[tuple[int, int]] = deque()
         self.take = self.pending.pop if order == DFS else self.pending.popleft
         self.vert_index: dict[QuantizedVertex, int] = {}
@@ -141,7 +158,6 @@ class _Machine:
         if kind == VERTEX:
             if v is None:
                 raise IllegalAnswerError(f"step {self.step}: a vertex answer carries no vertex")
-            # _legal_vertex, inlined on the replay path
             try:
                 x, y, z = v
             except (TypeError, ValueError):
@@ -162,14 +178,17 @@ class _Machine:
             if kind == VERTEX:  # emit the face of the popped edge and ``v``
                 a, b = self.edge
                 c = self.vert_index.get(v)
-                if a == b or c == a or c == b:
-                    raise DesyncError(f"step {self.step}: recorded vertex repeats an edge endpoint")
-                if c is None:
-                    c = self.vert_index[v] = len(self.verts)
-                    self.verts.append(v)
-                self.faces.append((a, b, c))
-                self.pending.append((a, c))
-                self.pending.append((c, b))
+                if a == b or c == a or c == b or self.edges is not None and not self._claim(a, b, c):
+                    if not self.coerce:
+                        raise DesyncError(f"step {self.step}: recorded vertex repeats an edge endpoint")
+                    ans = ANSWER_STOP
+                else:
+                    if c is None:
+                        c = self.vert_index[v] = len(self.verts)
+                        self.verts.append(v)
+                    self.faces.append((a, b, c))
+                    self.pending.append((a, c))
+                    self.pending.append((c, b))
             elif kind != STOP:
                 raise IllegalAnswerError(f"step {self.step}: {kind} answers EDGE")
             if self.pending:
@@ -198,64 +217,44 @@ class _Machine:
         self.outputs.append(ans)
         self.step += 1
 
+    def _claim(self, a: int, b: int, c: Optional[int]) -> bool:
+        """Whether the face (a, b, c), ``c`` None for a new vertex, reuses no
+        directed edge and flips no emitted face; if so, ``edges`` maps each of
+        its directed edges ``a << 3 * bits | b`` to its third vertex."""
+        edges = self.edges
+        n = len(self.verts)  # a new vertex gets index n and has no edges yet
+        if c is None:
+            c = n
+        s = 3 * self.bits  # an index is below 2**s, the number of grid positions
+        ab, bc, ca = a << s | b, b << s | c, c << s | a
+        if ab in edges or c < n and (bc in edges or ca in edges or edges.get(b << s | a) == c):
+            return False
+        edges[ab], edges[bc], edges[ca] = c, a, b
+        return True
+
     def result(self, halt: str) -> RunResult:
         faces = list(map(tuple.__new__, repeat(Face), self.faces))
         mesh = QuantizedMesh(self.verts, faces, self.bits)
         transcript = TokenSequence(
             self.bits, self.order, self.outputs, truncated=(halt == HALT_BUDGET)
         )
-        return RunResult(mesh, transcript, halt)
+        return RunResult(mesh, transcript, halt, self.component + (self.mode in (SOS2, EDGE)))
 
 
 def run(predictor: Predictor, cfg: Optional[GeneratorConfig] = None) -> RunResult:
-    """Generate a mesh by querying the predictor at most ``cfg.max_steps`` times."""
+    """Generate a mesh by querying the predictor at most ``cfg.max_steps`` times;
+    the machine coerces a face the rules refuse into STOP."""
     cfg = cfg or GeneratorConfig()
     if cfg.max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    m = _Machine(cfg.bits, cfg.order)
-    edges: Optional[dict[int, int]] = {} if cfg.duplicate_check else None
+    m = _Machine(cfg.bits, cfg.order, coerce=True, duplicate_check=cfg.duplicate_check)
     for _ in range(cfg.max_steps):
         v1 = m.verts[m.v1] if m.mode == SOS2 else None
         query = PredictorQuery(m.step, m.mode, m.component, len(m.pending), v1, m.input_edge())
-        ans = predictor(query)
-        if m.mode == EDGE and ans.kind == VERTEX:
-            ans = _adjust(m, ans, edges)
-        m.answer(ans)
+        m.answer(predictor(query))
         if m.done:
             return m.result(HALT_EOS)
     return m.result(HALT_BUDGET)
-
-
-def _adjust(m: _Machine, ans: PredictorAnswer, edges: Optional[dict]) -> PredictorAnswer:
-    """``ans``, a VERTEX answering EDGE, or STOP if its face (a, b, c) repeats a vertex
-    or, with ``edges`` (emitted directed edge -> third vertex), reuses one or flips a face."""
-    if not _legal_vertex(ans.vertex, m.cells):
-        return ans  # the machine refuses it
-    a, b = m.edge
-    n = len(m.verts)  # a new vertex gets index n and has no edges yet
-    c = m.vert_index.get(ans.vertex, n)
-    if a == b or c == a or c == b:
-        return ANSWER_STOP
-    if edges is not None:
-        s = 3 * m.bits  # an index is below 2**s, the number of grid positions
-        ab, bc, ca = a << s | b, b << s | c, c << s | a
-        if ab in edges or c < n and (bc in edges or ca in edges or edges.get(b << s | a) == c):
-            return ANSWER_STOP
-        edges[ab], edges[bc], edges[ca] = c, a, b
-    return ans
-
-
-def _legal_vertex(v, cells: int) -> bool:
-    """Whether ``v`` is three ints in ``[0, cells)``, the only vertex that
-    ``_Machine.answer`` takes; a bool or a float is no coordinate."""
-    try:
-        x, y, z = v
-    except (TypeError, ValueError):
-        return False
-    return (
-        type(x) is int and type(y) is int and type(z) is int
-        and 0 <= x < cells and 0 <= y < cells and 0 <= z < cells
-    )
 
 
 def decode(seq: TokenSequence) -> QuantizedMesh:

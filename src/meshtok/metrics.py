@@ -32,7 +32,7 @@ order of its own tree, so that points near each other are queried one
 after another; the mean is taken in input order, so the value does not
 depend on the query order.
 
-Coordinates so large (beyond about 1e77) that a face area or a search
+Coordinates so large (beyond about 1e77) that a face area, normal or search
 radius overflows raise ``EmptySurfaceError`` instead of giving an answer.
 """
 
@@ -72,15 +72,18 @@ def _triangle_corners(mesh: MeshReal) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
 
 
-def _face_geometry(mesh: MeshReal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(unit normals, centroids, validity mask); invalid rows are zero-area faces."""
-    a, b, c = _triangle_corners(mesh)
-    cross = np.cross(b - a, c - a)
-    length = np.linalg.norm(cross, axis=1)
+def _face_geometry(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(unit normals, centroids, validity mask) of the triangles with corners
+    ``a``, ``b``, ``c``; invalid rows are zero-area faces."""
+    with np.errstate(over="ignore", invalid="ignore"):  # only a zero-area face's centroid can overflow
+        cross = np.cross(b - a, c - a)
+        length = np.linalg.norm(cross, axis=1)
+        centroids = (a + b + c) / 3.0
+    if not np.isfinite(length).all():
+        raise EmptySurfaceError("coordinates too large: a face normal overflows")
     valid = length > _DEGENERATE_AREA
     normals = np.zeros_like(cross)
     normals[valid] = cross[valid] / length[valid, None]
-    centroids = (a + b + c) / 3.0
     return normals, centroids, valid
 
 
@@ -430,21 +433,25 @@ def _search(
     return dists, idxs
 
 
-def _directional_similarities(src: MeshReal, ref: MeshReal) -> np.ndarray:
-    n_src, c_src, valid_src = _face_geometry(src)
-    n_ref, _, valid_ref = _face_geometry(ref)
-    if not valid_src.any() or not valid_ref.any():
-        raise EmptySurfaceError("mesh has no face with usable area")
-    ra, rb, rc = _triangle_corners(ref)
-    ra, rb, rc = ra[valid_ref], rb[valid_ref], rc[valid_ref]
-    _, nearest = closest_faces(c_src[valid_src], ra, rb, rc)
-    return np.einsum("ij,ij->i", n_src[valid_src], n_ref[valid_ref][nearest])
+def _usable_faces(mesh: MeshReal) -> tuple[np.ndarray, ...]:
+    """(unit normals, centroids, a, b, c) of the faces with usable area."""
+    a, b, c = _triangle_corners(mesh)
+    normals, centroids, valid = _face_geometry(a, b, c)
+    return normals[valid], centroids[valid], a[valid], b[valid], c[valid]
+
+
+def _similarities(src: tuple[np.ndarray, ...], ref: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Cosine of each ``src`` face's normal with its nearest ``ref`` face's (``_usable_faces``)."""
+    _, nearest = closest_faces(src[1], *ref[2:])
+    return np.einsum("ij,ij->i", src[0], ref[0][nearest])
 
 
 def _normal_scores(src: MeshReal, ref: MeshReal) -> tuple[float, float, float]:
     """(nc, abs_nc, flipped) from one nearest-face search per direction."""
-    sims_sr = _directional_similarities(src, ref)
-    sims_rs = _directional_similarities(ref, src)
+    src_faces, ref_faces = _usable_faces(src), _usable_faces(ref)
+    if not len(src_faces[0]) or not len(ref_faces[0]):
+        raise EmptySurfaceError("mesh has no face with usable area")
+    sims_sr, sims_rs = _similarities(src_faces, ref_faces), _similarities(ref_faces, src_faces)
     nc = 0.5 * float(sims_sr.mean()) + 0.5 * float(sims_rs.mean())
     abs_nc = 0.5 * float(np.abs(sims_sr).mean()) + 0.5 * float(np.abs(sims_rs).mean())
     flipped = (np.count_nonzero(sims_sr < 0.0) + np.count_nonzero(sims_rs < 0.0)) / (

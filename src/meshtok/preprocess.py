@@ -71,16 +71,18 @@ class AcceptDecision:
 
 def normalize(mesh: MeshReal) -> MeshReal:
     """Center the bounding box at the origin and scale its longest axis to
-    span exactly [-0.5, 0.5], preserving aspect ratio. Idempotent."""
+    span exactly [-0.5, 0.5], preserving aspect ratio. Idempotent. Works at
+    half scale, exact above about 4e-308, so that ``hi - lo`` cannot overflow."""
     if len(mesh.vertices) == 0:
         raise DegenerateExtentError("mesh has no vertices")
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
+    v = mesh.vertices * 0.5
+    lo = v.min(axis=0)
+    hi = v.max(axis=0)
     extent = float((hi - lo).max())
     if extent <= 0.0:
         raise DegenerateExtentError("all vertices coincide")
     center = (lo + hi) / 2.0
-    return MeshReal((mesh.vertices - center) / extent, mesh.faces.copy())
+    return MeshReal((v - center) / extent, mesh.faces.copy())
 
 
 def quantize(mesh: MeshReal, bits: int = 7) -> QuantizedMesh:

@@ -106,6 +106,13 @@ class SequenceStats:
     n_traversal_records: int
     ratio: Optional[float]
 
+    @classmethod
+    def from_counts(cls, length: int, n_faces: int, n_components: int, n_stops: int) -> SequenceStats:
+        """Length accounting, including the token-per-face ratio against the
+        naive nine-tokens-per-face baseline."""
+        ratio = length / (9 * n_faces) if n_faces else None
+        return cls(length, n_faces, n_components, n_stops, n_faces + n_stops, ratio)
+
 
 def _walk(seq: TokenSequence) -> tuple[int, int, int]:
     """Check ``seq`` and count its (faces, components, stops).
@@ -239,15 +246,5 @@ def encode(mesh: QuantizedMesh, order: str = DFS) -> TokenSequence:
 
 
 def sequence_stats(seq: TokenSequence) -> SequenceStats:
-    """Length accounting, including the token-per-face ratio against the naive
-    nine-tokens-per-face baseline."""
-    n_faces, n_components, n_stops = _walk(seq)
-    length = len(seq.outputs)
-    return SequenceStats(
-        length=length,
-        n_faces=n_faces,
-        n_components=n_components,
-        n_stops=n_stops,
-        n_traversal_records=n_faces + n_stops,
-        ratio=length / (9 * n_faces) if n_faces else None,
-    )
+    """Check ``seq`` (``check_well_formed``) and return its counts."""
+    return SequenceStats.from_counts(len(seq.outputs), *_walk(seq))

@@ -14,7 +14,8 @@ silhouette cluster counts via ``scipy.ndimage.label``, file reading
 and writing via the per-record code that preceded the current, text
 records via the JSON decoder alone, machine steps via the face helper that
 preceded the inline face step, and generation via the vertex-set duplicate
-rule that preceded the directed-edge one.
+rule that preceded the directed-edge one and via the pass that adjusted
+each answer before the machine applied the face rules itself.
 """
 
 from __future__ import annotations
@@ -817,6 +818,59 @@ def _reference_adjust(
             return ANSWER_STOP
         emitted.add(key)
     return ans
+
+
+def reference_edge_run(predictor: Predictor, cfg: Optional[GeneratorConfig] = None) -> RunResult:
+    """``generator.run`` as it was before its machine applied the face rules:
+    ``_reference_adjust_edge`` turns a proposal into STOP after the
+    predictor answers and before the strict machine takes it."""
+    cfg = cfg or GeneratorConfig()
+    if cfg.max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    m = _Machine(cfg.bits, cfg.order)
+    edges: Optional[dict[int, int]] = {} if cfg.duplicate_check else None
+    for _ in range(cfg.max_steps):
+        v1 = m.verts[m.v1] if m.mode == SOS2 else None
+        query = PredictorQuery(m.step, m.mode, m.component, len(m.pending), v1, m.input_edge())
+        ans = predictor(query)
+        if m.mode == EDGE and ans.kind == VERTEX:
+            ans = _reference_adjust_edge(m, ans, edges)
+        m.answer(ans)
+        if m.done:
+            return m.result(HALT_EOS)
+    return m.result(HALT_BUDGET)
+
+
+def _reference_adjust_edge(m: _Machine, ans: PredictorAnswer, edges: Optional[dict]) -> PredictorAnswer:
+    """``ans``, a VERTEX answering EDGE, or STOP if its face (a, b, c) repeats a vertex
+    or, with ``edges`` (emitted directed edge -> third vertex), reuses one or flips a face."""
+    if not _reference_legal_vertex(ans.vertex, m.cells):
+        return ans  # the machine refuses it
+    a, b = m.edge
+    n = len(m.verts)  # a new vertex gets index n and has no edges yet
+    c = m.vert_index.get(ans.vertex, n)
+    if a == b or c == a or c == b:
+        return ANSWER_STOP
+    if edges is not None:
+        s = 3 * m.bits  # an index is below 2**s, the number of grid positions
+        ab, bc, ca = a << s | b, b << s | c, c << s | a
+        if ab in edges or c < n and (bc in edges or ca in edges or edges.get(b << s | a) == c):
+            return ANSWER_STOP
+        edges[ab], edges[bc], edges[ca] = c, a, b
+    return ans
+
+
+def _reference_legal_vertex(v, cells: int) -> bool:
+    """Whether ``v`` is three ints in ``[0, cells)``, the only vertex that
+    ``_Machine.answer`` takes; a bool or a float is no coordinate."""
+    try:
+        x, y, z = v
+    except (TypeError, ValueError):
+        return False
+    return (
+        type(x) is int and type(y) is int and type(z) is int
+        and 0 <= x < cells and 0 <= y < cells and 0 <= z < cells
+    )
 
 
 class ReferenceMachine(_Machine):

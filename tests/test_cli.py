@@ -234,8 +234,11 @@ def test_codec_commands_build_no_records_or_queries(tmp_path, tetra_obj, monkeyp
         assert main(["tokenize", str(tetra_obj), "-o", stream, *text]) == 0
         assert main(["detokenize", stream, "-o", out]) == 0
     assert built == []
-    # The probes do see construction: derived records and a fuzz run.
+    # The probes do see construction: a fuzz run's queries and derived
+    # records (fuzz counts from its run and derives none).
     assert main(["fuzz", "--seed", "1", "--max-steps", "5"]) == 0
+    assert set(built) == {"PredictorQuery"}
+    encode(quantize(read_obj(tetra_obj), 7)).records
     assert set(built) == {"StepRecord", "PredictorQuery"}
 
 

@@ -19,7 +19,7 @@ from meshtok.core import (
     validate_manifold,
     vertex_array,
 )
-from meshtok.metrics import _face_geometry
+from meshtok.metrics import _face_geometry, _triangle_corners
 from meshtok.sequencer import encode
 from helpers import union_find_components, winding_flipped
 
@@ -144,7 +144,7 @@ class TestFaceNormal:
 
     def _normal(self, coords, face=(0, 1, 2)):
         mesh = QuantizedMesh([QuantizedVertex(*c) for c in coords], [Face(*face)], 7)
-        normals, _, valid = _face_geometry(dequantize_mesh(mesh))
+        normals, _, valid = _face_geometry(*_triangle_corners(dequantize_mesh(mesh)))
         return normals[0] if valid[0] else None
 
     def test_xy_triangle_points_up(self):

@@ -23,6 +23,7 @@ from meshtok.sequencer import (
     TokenSequence,
     check_well_formed,
     encode,
+    sequence_stats,
 )
 from meshtok.generator import (
     ANSWER_EOS,
@@ -238,6 +239,26 @@ def test_run_keeps_the_directed_edge_rule(seed, bits, order, make):
     assert (result.transcript == ref.transcript) == ref_keeps_rule
     off = GeneratorConfig(bits=bits, order=order, duplicate_check=False)
     assert run(make(seed, bits), off).transcript == reference_run(make(seed, bits), off).transcript
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.sampled_from([1, 2, 3, 7]),
+    order=st.sampled_from(["dfs", "bfs"]),
+    max_steps=st.sampled_from([1, 2, 3, 5, 40, 10000]),
+)
+def test_run_stats_equal_a_recount_of_the_records(seed, bits, order, max_steps):
+    cfg = GeneratorConfig(bits=bits, order=order, max_steps=max_steps)
+    result = run(reusing_predictor(seed, bits), cfg)
+    records = result.transcript.records
+    stats = result.stats
+    assert stats.length == len(records)
+    assert stats.n_faces == len(result.mesh.faces)
+    assert stats.n_components == sum(r.input_kind == SOS and r.output_kind == VERTEX for r in records)
+    assert stats.n_stops == sum(r.output_kind == STOP for r in records)
+    if result.halt == "eos":
+        assert stats == sequence_stats(result.transcript)
 
 
 class TestRunHalts:

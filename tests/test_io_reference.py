@@ -8,6 +8,7 @@ from __future__ import annotations
 import struct
 import tempfile
 from pathlib import Path
+from typing import Optional
 from unittest import mock
 
 import numpy as np
@@ -40,6 +41,7 @@ from meshtok.streamio import (
 )
 from helpers import (
     ReferenceMachine,
+    reference_edge_run,
     reference_dumps_text_stream,
     reference_parse_answer,
     reference_parse_stream_bytes,
@@ -90,18 +92,22 @@ def _rare(strategy, common):
 
 
 @st.composite
-def _obj_line(draw, n_verts: int) -> str:
+def _obj_line(draw, n_verts: int, well_formed: bool = False, kind: Optional[str] = None) -> str:
     """A vertex line, a face line over ``n_verts`` vertices (a few indices
-    past them), or a line the reader ignores; one in eight tokens is bad."""
-    kind = draw(st.sampled_from(["v"] * 4 + ["f"] * 5 + ["#", "", "vt", "vn", "o", "fx", "#v"]))
+    past them), or a line the reader ignores; one in eight tokens is bad.
+    A well-formed line has no bad token, a vertex line three coordinates
+    and a face line three or more indices, none past ``n_verts``."""
+    if kind is None:
+        kind = draw(st.sampled_from(["v"] * 4 + ["f"] * 5 + ["#", "", "vt", "vn", "o", "fx", "#v"]))
     if kind == "v":
-        n = draw(st.sampled_from([3] * 6 + [2, 4]))
-        tokens = draw(st.lists(_rare(_BAD_COORDS, _GOOD_COORDS), min_size=n, max_size=n))
+        n = 3 if well_formed else draw(st.sampled_from([3] * 6 + [2, 4]))
+        coord = _GOOD_COORDS if well_formed else _rare(_BAD_COORDS, _GOOD_COORDS)
+        tokens = draw(st.lists(coord, min_size=n, max_size=n))
     elif kind == "f":
-        n = draw(st.sampled_from([3] * 5 + [4] * 3 + [1, 2, 5, 6]))
-        heads = st.integers(1, n_verts + 1).map(str)
+        n = draw(st.sampled_from([3] * 5 + [4] * 3 + ([5, 6] if well_formed else [1, 2, 5, 6])))
+        heads = st.integers(1, n_verts if well_formed else n_verts + 1).map(str)
         suffix = _rare(st.sampled_from(["/1", "/1/2", "//3", "/"]), st.just(""))
-        token = st.tuples(_rare(_BAD_HEADS, heads), suffix).map("".join)
+        token = st.tuples(heads if well_formed else _rare(_BAD_HEADS, heads), suffix).map("".join)
         tokens = draw(st.lists(token, min_size=n, max_size=n))
     else:
         tokens = draw(st.lists(st.sampled_from(["1", "0.5", "name", "off"]), max_size=3))
@@ -110,18 +116,25 @@ def _obj_line(draw, n_verts: int) -> str:
 
 
 @st.composite
-def _obj_files(draw, repeats: bool = False) -> bytes:
+def _obj_files(draw, repeats: bool = False, well_formed: bool = False) -> bytes:
+    """OBJ text of ``_obj_line`` lines; a well-formed file draws well-formed
+    lines, holds ``n_verts`` more vertex lines among them, so that no face
+    index is missing, and is UTF-8."""
     n_verts = draw(st.integers(3, 9))
+    line = _obj_line(n_verts, well_formed)
     if repeats:  # lines drawn from a small pool, as an unwelded file repeats its vertices
-        pool = draw(st.lists(_obj_line(n_verts), min_size=1, max_size=8))
+        pool = draw(st.lists(line, min_size=1, max_size=8))
         lines = draw(st.lists(st.sampled_from(pool), max_size=24))
     else:
-        lines = draw(st.lists(_obj_line(n_verts), max_size=24))
+        lines = draw(st.lists(line, max_size=24))
+    if well_formed:
+        vertex = _obj_line(n_verts, well_formed, kind="v")
+        lines = draw(st.permutations(lines + draw(st.lists(vertex, min_size=n_verts, max_size=n_verts))))
     body = "".join(line + draw(_ENDS) for line in lines)
     if draw(st.booleans()):
         body = body.rstrip("\r\n")  # no end on the last line
     data = body.encode("utf-8")
-    if draw(st.sampled_from([False] * 15 + [True])):  # text that is not UTF-8
+    if not well_formed and draw(st.sampled_from([False] * 15 + [True])):  # text that is not UTF-8
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff\xfe" + data[at:]
     return data
@@ -405,7 +418,7 @@ def _reads_three_coordinates(path: Path) -> bool:
 
 
 @SETTINGS
-@given(data=_obj_files(), batch=st.sampled_from([1, 30, 1 << 16]))
+@given(data=_obj_files(well_formed=True), batch=st.sampled_from([1, 30, 1 << 16]))
 def test_well_formed_files_take_the_batch_path(tmp_path, monkeypatch, data, batch):
     # _obj_files draws no byte-order mark, which the reference does not skip.
     path = tmp_path / "m.obj"
@@ -630,10 +643,10 @@ def _run_result(result):
     """A RunResult with each face's type, so a plain tuple shows."""
     mesh = result.mesh
     faces = [(type(f), f) for f in mesh.faces]
-    return mesh.vertices, faces, mesh.bits, result.transcript, result.halt
+    return mesh.vertices, faces, mesh.bits, result.transcript, result.halt, result.components
 
 
-def _machine_outcomes(seq: TokenSequence, duplicate_check: bool) -> list:
+def _machine_outcomes(seq: TokenSequence, duplicate_check: bool, run) -> list:
     """What strict replay, derived records and ``run`` answering with the
     outputs of ``seq`` do."""
     outputs = seq.outputs
@@ -652,9 +665,11 @@ def _machine_outcomes(seq: TokenSequence, duplicate_check: bool) -> list:
 @SETTINGS
 @given(_sequences(tuple(_ANSWERS + _NON_INT_ANSWERS)), st.booleans())
 def test_machine_matches_reference(seq, duplicate_check):
-    new = _machine_outcomes(seq, duplicate_check)
+    # Replay and records against ReferenceMachine; ``run``, whose machine
+    # applies the face rules, against the adjusting run it replaced.
+    new = _machine_outcomes(seq, duplicate_check, run)
     with mock.patch.object(generator, "_Machine", ReferenceMachine):
-        ref = _machine_outcomes(seq, duplicate_check)
+        ref = _machine_outcomes(seq, duplicate_check, reference_edge_run)
     assert new == ref
 
 

@@ -193,9 +193,10 @@ class TestPointToTriangle:
 def _search_inputs(src: MeshReal, ref: MeshReal):
     """Query points and triangles as normal consistency builds them: the
     centroids of src's valid faces, and ref's valid faces."""
-    _, centroids, valid = _face_geometry(src)
-    _, _, valid_ref = _face_geometry(ref)
-    a, b, c = (corner[valid_ref] for corner in _triangle_corners(ref))
+    _, centroids, valid = _face_geometry(*_triangle_corners(src))
+    corners = _triangle_corners(ref)
+    _, _, valid_ref = _face_geometry(*corners)
+    a, b, c = (corner[valid_ref] for corner in corners)
     return centroids[valid], a, b, c
 
 
@@ -466,6 +467,21 @@ class TestNormalConsistency:
         degenerate = MeshReal(verts, np.array([[0, 1, 2]]))
         with pytest.raises(EmptySurfaceError):
             normal_consistency(degenerate, degenerate)
+
+    @pytest.mark.parametrize("scale", [1e78, 1e155, 1e200])
+    def test_overflowing_normal_raises(self, scale):
+        # The normals' lengths overflow, in the norm at 1e78 and in the cross
+        # product above; no RuntimeWarning escapes.
+        tetra = tetrahedron()
+        huge = MeshReal(tetra.vertices * scale, tetra.faces)
+        with pytest.raises(EmptySurfaceError, match="a face normal overflows"):
+            normal_consistency(huge, huge)
+
+    def test_zero_area_face_at_the_largest_floats_is_skipped(self):
+        # Its centroid overflows, but a zero-area face is excluded anyway.
+        verts = np.concatenate([[[1e308, 1e308, 1e308]], UNIT_RIGHT.vertices])
+        mesh = MeshReal(verts, np.array([[0, 0, 0], [1, 2, 3]]))
+        assert normal_consistency(mesh, mesh) == (1.0, 1.0)
 
 
 class TestEvaluate:

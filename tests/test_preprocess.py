@@ -57,6 +57,13 @@ class TestNormalize:
         twice = normalize(once)
         assert np.abs(twice.vertices - once.vertices).max() <= 1e-12
 
+    def test_largest_floats_normalize_like_unit_ones(self):
+        # hi - lo and lo + hi would overflow at full scale; pytest turns the
+        # overflow warning into an error.
+        unit = MeshReal(np.array([[-1, -1, -1], [1, -1, 1], [-1, 1, 0.5]], float), TRI)
+        huge = MeshReal(unit.vertices * 2.0**1023, TRI)
+        assert normalize(huge).vertices.tobytes() == normalize(unit).vertices.tobytes()
+
     def test_degenerate_extent_raises(self):
         mesh = MeshReal(np.ones((5, 3)), TRI)
         with pytest.raises(DegenerateExtentError):

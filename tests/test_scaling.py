@@ -9,9 +9,11 @@ import time
 
 import numpy as np
 
-from meshtok.core import MeshReal
+from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex
+from meshtok.generator import GeneratorConfig, replay_outputs, run
 from meshtok.metrics import normal_consistency
 from meshtok.procgen import torus
+from meshtok.sequencer import PredictorAnswer, encode
 
 
 def _best_time(fn, repeats: int = 5) -> float:
@@ -39,3 +41,33 @@ def test_normal_consistency_is_n_log_n_on_mixed_face_sizes():
 
     small, large = pair(14, 25), pair(28, 50)  # 700 and 2,800 faces, plus one
     assert _best_time(lambda: normal_consistency(*large)) / _best_time(lambda: normal_consistency(*small)) <= 8.0
+
+
+def _tetrahedra_outputs(count: int) -> list[PredictorAnswer]:
+    """The outputs of ``count`` disjoint tetrahedra on a 9-bit lattice."""
+    verts: list[QuantizedVertex] = []
+    faces: list[Face] = []
+    for i in range(count):
+        x, y, z = 10 * (i % 40), 10 * (i // 40 % 40), 10 * (i // 1600)
+        n = len(verts)
+        verts += [QuantizedVertex(x, y, z), QuantizedVertex(x + 9, y, z),
+                  QuantizedVertex(x, y + 9, z), QuantizedVertex(x, y, z + 9)]
+        faces += [Face(n, n + 2, n + 1), Face(n, n + 1, n + 3),
+                  Face(n, n + 3, n + 2), Face(n + 1, n + 2, n + 3)]
+    return encode(QuantizedMesh(verts, faces, 9)).outputs
+
+
+def test_machine_is_linear_in_components():
+    # Replay, and run with its directed-edge map, answering the same outputs.
+    def times(outputs: list[PredictorAnswer]) -> tuple[float, float]:
+        cfg = GeneratorConfig(bits=9, duplicate_check=True, max_steps=len(outputs))
+        assert run(lambda q: outputs[q.step], cfg).transcript.outputs == outputs  # nothing coerced
+        return (
+            _best_time(lambda: replay_outputs(outputs, 9)),
+            _best_time(lambda: run(lambda q: outputs[q.step], cfg)),
+        )
+
+    small, large = times(_tetrahedra_outputs(150)), times(_tetrahedra_outputs(600))
+    for t_small, t_large in zip(small, large):
+        assert t_large < 0.5
+        assert t_large / t_small <= 8.0
