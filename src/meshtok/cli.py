@@ -171,8 +171,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """An argparse type for an integer >= ``low``, whose error names the flag."""
+def _int_in(low: int, high: Optional[int] = None):
+    """An argparse type for an integer >= ``low`` and, if given, <= ``high``,
+    whose error names the flag."""
 
     def parse(text: str) -> int:
         try:
@@ -181,15 +182,20 @@ def _int_at_least(low: int):
             value = low - 1
         if value < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be an integer <= {high}, got {text!r}")
         return value
 
     return parse
 
 
-# Sample counts and step budgets; numpy's seeded generators take only seeds
-# >= 0 (``fuzz`` seeds ``random.Random``, which takes any int).
-_count = _int_at_least(1)
-_seed = _int_at_least(0)
+# Sample counts, capped where they add about 150 MB (``metrics``) and 250 MB
+# (``sample-pc``, with its text) to peak memory; step budgets; numpy's seeded
+# generators take only seeds >= 0 (``fuzz`` seeds ``random.Random``, which
+# takes any int).
+_count = _int_in(1, 1 << 20)
+_steps = _int_in(1, 10**6)
+_seed = _int_in(0)
 
 
 def _bits(text: str) -> int:
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="seeded random-predictor robustness run")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-steps", type=_count, default=10000)
+    p.add_argument("--max-steps", type=_steps, default=10000)
     p.add_argument("--bits", type=_bits, default=7)
     p.add_argument("--order", choices=["dfs", "bfs"], default="dfs")
     p.set_defaults(func=_cmd_fuzz)

@@ -331,12 +331,11 @@ def closest_faces(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarra
     One k-nearest query per class (``_NEAREST_K`` centroids) gives ``ub``
     and, for a point whose k-th centroid lies beyond its radius, the whole
     ball; of those centroids, a face is measured only if its own reach can
-    bring it within ``ub``. Only the other points ask the tree for their
-    ball: listed if it holds at most half of the class, else every face of
-    the class is taken without listing. One tie rule picks among the
-    candidates of all classes. Points are searched in runs whose k-nearest
-    arrays hold about _PAIR_BUDGET entries, and measured in blocks of at
-    most _PAIR_BUDGET pairs, which bounds memory.
+    bring it within ``ub``. Only the other points ask the tree to list
+    their ball. One tie rule picks among the candidates of all classes.
+    Points are searched in runs whose k-nearest arrays hold about
+    _PAIR_BUDGET entries, and measured in blocks of at most _PAIR_BUDGET
+    pairs, which bounds memory.
     """
     n = len(points)
     dists = np.empty(n, dtype=np.float64)
@@ -402,15 +401,14 @@ def _search(
             unsure = np.flatnonzero(near_dist[:, -1] <= radii)
             found[unsure] = False
             ball[unsure] = tree.query_ball_point(points[unsure], radii[unsure], workers=1, return_length=True)
-        every = 2 * ball > len(members)
-        sizes += found.sum(axis=1) + np.where(every, len(members), ball)
-        parts.append((members, tree, radii, found, near, (ball > 0) & ~every, every))
+        sizes += found.sum(axis=1) + ball
+        parts.append((members, tree, radii, found, near, ball > 0))
 
     dists = np.empty(n, dtype=np.float64)
     idxs = np.empty(n, dtype=np.int64)
     for lo, hi in _blocks(sizes):
         rows, cols = [], []
-        for members, tree, radii, found, near, listed, every in parts:
+        for members, tree, radii, found, near, listed in parts:
             hit = found[lo:hi]
             rows.append(np.nonzero(hit)[0])
             cols.append(near[lo:hi][hit])
@@ -420,9 +418,6 @@ def _search(
                 counts = np.fromiter(map(len, balls), dtype=np.int64, count=len(ask))
                 rows.append(np.repeat(ask - lo, counts))
                 cols.append(members[np.fromiter(chain.from_iterable(balls), dtype=np.int64, count=int(counts.sum()))])
-            take = np.flatnonzero(every[lo:hi])
-            rows.append(np.repeat(take, len(members)))
-            cols.append(np.tile(members, len(take)))
         pieces = sum(len(r) > 0 for r in rows)
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         if pieces > 1:  # each piece ascends by point; group the pairs by point

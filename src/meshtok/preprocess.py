@@ -32,7 +32,13 @@ class DegenerateExtentError(ValueError):
 
 
 class OutOfRangeError(ValueError):
-    """Coordinates fall outside [-0.5, 0.5]; normalize first."""
+    """Coordinates fall outside [-0.5, 0.5] (normalize first), or are so
+    large that an augmentation overflows."""
+
+
+# The largest silhouette grid: its masks and summed-area table add about
+# 120 MB to peak memory at this size, and every count fits an int32.
+_MAX_PROJ_GRID = 4096
 
 
 @dataclass
@@ -55,6 +61,8 @@ class PreprocessConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.proj_grid > _MAX_PROJ_GRID:
+            raise ValueError(f"proj_grid must be at most {_MAX_PROJ_GRID}, got {self.proj_grid!r}")
         if not 0.0 <= self.proj_min_area <= 1.0:
             raise ValueError(f"proj_min_area must be in [0, 1], got {self.proj_min_area!r}")
         if not 0.0 <= self.flip_prob <= 1.0:
@@ -183,9 +191,10 @@ def _fill_triangles_2d(tri2d: np.ndarray, grid: int) -> np.ndarray:
 def _unset_in_box(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per box ``[lo, hi)`` of ``mask`` (both (k, 2), non-empty): does it
     hold an unset pixel? Read off an int32 summed-area table with a zero
-    first row and column; int64 only where a count could overflow int32."""
+    first row and column; a grid of at most _MAX_PROJ_GRID pixels a side
+    counts well below 2^31."""
     grid = mask.shape[0]
-    sat = np.zeros((grid + 1, grid + 1), dtype=np.int32 if grid * grid < 2**31 else np.int64)
+    sat = np.zeros((grid + 1, grid + 1), dtype=np.int32)
     sat[1:, 1:] = mask
     np.cumsum(sat, axis=0, out=sat)
     np.cumsum(sat, axis=1, out=sat)
@@ -353,7 +362,11 @@ def augment(mesh: MeshReal, cfg: Optional[PreprocessConfig] = None, seed: int = 
     angle = rng.uniform(-math.radians(cfg.z_rot_max_degrees), math.radians(cfg.z_rot_max_degrees))
     ca, sa = math.cos(angle), math.sin(angle)
     rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    return MeshReal(v @ rz.T, mesh.faces.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = v @ rz.T
+    if not np.isfinite(v).all():
+        raise OutOfRangeError("coordinates too large: the rotation about z overflows")
+    return MeshReal(v, mesh.faces.copy())
 
 
 def run_preprocess(

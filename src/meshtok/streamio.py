@@ -117,12 +117,14 @@ class _Once(dict):
         return value
 
 
+def _fill(template: str, rows: int, values) -> str:
+    """Text of ``rows`` lines, ``template`` filled in turn from ``values``,
+    in one format call over the template repeated once per line."""
+    return (template * rows).format(*values)
+
+
 # --- Wavefront OBJ -----------------------------------------------------------
 
-
-# Vertex lines read before ``read_obj`` stops looking for repeats when none
-# of them repeats an earlier one.
-_MEMO_TRIAL = 1024
 
 # Characters of text the batch reader asks ``readlines`` for at a time, a few
 # hundred lines. A batch's lines and tokens are the reader's largest
@@ -162,14 +164,15 @@ def _read_plain_obj(path: Union[str, Path]) -> MeshReal | None:
     into tokens once and converted by ``float`` or ``int`` mapped over the
     tokens. A vertex line that repeats an earlier one, as every shared
     corner of an unwelded file does, is converted once and looked up after;
-    when the first _MEMO_TRIAL vertex lines are all distinct, the file is
-    taken as welded and repeats are no longer looked for.
+    when the vertex lines of the first batch that holds any are all
+    distinct, the file is taken as welded and repeats are no longer looked
+    for.
     """
     row_parts: list[np.ndarray] = []  # coordinates of the vertex lines parsed
     index_parts: list[np.ndarray] = []  # each vertex line's row, while the memo is kept
     tri_parts: list[np.ndarray] = []
     n_rows = n_verts = 0
-    # Vertex line -> its row; None once the first _MEMO_TRIAL vertex lines
+    # Vertex line -> its row; None once the first batch of vertex lines
     # turned out all distinct.
     memo: dict[str, int] | None = {}
     try:
@@ -210,8 +213,8 @@ def _read_plain_obj(path: Union[str, Path]) -> MeshReal | None:
                         index_parts.append(np.fromiter(map(memo.__getitem__, vert_lines), np.intp, n_v))
                     n_rows += len(new)
                     n_verts += n_v
-                    if memo is not None and n_rows == n_verts >= _MEMO_TRIAL:
-                        memo = None  # a welded file: its lines do not repeat
+                    if memo is not None and n_rows == n_verts:
+                        memo = None  # a welded file: its first lines do not repeat
                 if face_lines:
                     tri = _plain_triangles(face_lines)
                     if tri is None:
@@ -345,9 +348,9 @@ def _read_obj_lines(path: Union[str, Path]) -> MeshReal:
 def write_obj(mesh: Union[QuantizedMesh, MeshReal], path: Union[str, Path]) -> None:
     """Write vertices and faces; quantized meshes are written at their grid
     cell centers, so reading back and re-quantizing reproduces them exactly."""
+    if len(mesh.vertices) == 0 or len(mesh.faces) == 0:
+        raise EmptyMeshError("refusing to write a mesh without vertices or faces")
     if isinstance(mesh, QuantizedMesh):
-        if not mesh.vertices or not mesh.faces:
-            raise EmptyMeshError("refusing to write a mesh without vertices or faces")
         require_triples(mesh.vertices, "vertex")
         require_triples(mesh.faces, "face")
         bits = mesh.bits
@@ -355,16 +358,12 @@ def write_obj(mesh: Union[QuantizedMesh, MeshReal], path: Union[str, Path]) -> N
         index = _Once(lambda i: str(i + 1))
         coords = map(coord.__getitem__, chain.from_iterable(mesh.vertices))
         corners = map(index.__getitem__, chain.from_iterable(mesh.faces))
-        # One format call per section, over a template repeated once per line.
-        text = ("v {} {} {}\n" * len(mesh.vertices)).format(*coords) + (
-            "f {} {} {}\n" * len(mesh.faces)
-        ).format(*corners)
+        vertex = "v {} {} {}\n"
     else:
-        if len(mesh.vertices) == 0 or len(mesh.faces) == 0:
-            raise EmptyMeshError("refusing to write a mesh without vertices or faces")
-        lines = [f"v {float(x):.9g} {float(y):.9g} {float(z):.9g}" for x, y, z in mesh.vertices]
-        lines.extend(f"f {int(a) + 1} {int(b) + 1} {int(c) + 1}" for a, b, c in mesh.faces)
-        text = "\n".join(lines) + "\n"
+        coords = mesh.vertices.ravel().tolist()
+        corners = map((1).__add__, mesh.faces.ravel().tolist())  # Python ints: no int64 wrap
+        vertex = "v {:.9g} {:.9g} {:.9g}\n"
+    text = _fill(vertex, len(mesh.vertices), coords) + _fill("f {} {} {}\n", len(mesh.faces), corners)
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -592,8 +591,7 @@ def write_pointcloud(points: np.ndarray, path: Union[str, Path], fmt: str = "xyz
         raise ValueError("refusing to write an empty point set")
     path = Path(path)
     if fmt == "xyz":
-        lines = [f"{x:.9g} {y:.9g} {z:.9g}" for x, y, z in points]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(_fill("{:.9g} {:.9g} {:.9g}\n", len(points), points.ravel().tolist()), encoding="utf-8")
     elif fmt == "ply":
         header = (
             "ply\n"

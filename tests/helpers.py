@@ -602,6 +602,15 @@ def reference_write_obj(mesh: Union[QuantizedMesh, MeshReal], path: Union[str, P
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def reference_write_xyz(points: np.ndarray, path: Union[str, Path]) -> None:
+    """``write_pointcloud``'s xyz form, one f-string per point."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if len(points) == 0:
+        raise ValueError("refusing to write an empty point set")
+    lines = [f"{x:.9g} {y:.9g} {z:.9g}" for x, y, z in points]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def reference_write_stream(seq: TokenSequence, path: Union[str, Path]) -> None:
     reference_walk(seq)
     flags = 0 if seq.order == DFS else 1

@@ -275,6 +275,19 @@ def test_overflowing_coordinates_are_a_rejection(tmp_path, capsys, scale):
     assert not out.exists()
 
 
+def test_augment_overflow_is_a_rejection(tmp_path, capsys):
+    # Rotating a triangle at +/-1.7e308 about z overflows: no warning, no
+    # file of infinite coordinates that a reader would refuse.
+    obj = tmp_path / "big.obj"
+    obj.write_text("v 1.7e308 -1.7e308 0\nv -1.7e308 1.7e308 0\nv 1.7e308 1.7e308 1\nf 1 2 3\n")
+    out = tmp_path / "a.obj"
+    assert main(["augment", str(obj), "-o", str(out), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coordinates too large: the rotation about z overflows\n"
+    assert not out.exists()
+
+
 def test_malformed_text_stream_is_a_format_error(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"magic":"TMTS","bits":7,"order":"dfs"}\n{"op":"v","z":1,"y":2}\n')
@@ -315,6 +328,7 @@ def test_preprocess_rejects_multi_cluster_scene(tmp_path, capsys):
         ("preprocess", "--proj-min-area", "nan", "proj_min_area"),
         ("preprocess", "--proj-grid", "0", "proj_grid"),
         ("preprocess", "--proj-grid", "-3", "proj_grid"),
+        ("preprocess", "--proj-grid", "4097", "proj_grid"),  # past the ceiling
         ("preprocess", "--max-faces", "0", "max_faces"),
         ("preprocess", "--max-faces", "-1", "max_faces"),
     ],
@@ -457,6 +471,24 @@ def test_usage_error_exits_2(capsys):
         assert err.value.code == 2
         assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
     assert main(["fuzz", "--seed", "-1", "--max-steps", "5"]) == 0  # random.Random takes any int
+
+
+@pytest.mark.parametrize(
+    "argv, flag, ceiling",
+    [
+        (["metrics", "a.obj", "b.obj", "--samples"], "--samples", 1 << 20),
+        (["sample-pc", "a.obj", "-o", "pc.xyz", "-n"], "-n/--count", 1 << 20),
+        (["sample-pc", "a.obj", "-o", "pc.xyz", "--count"], "-n/--count", 1 << 20),
+        (["fuzz", "--seed", "1", "--max-steps"], "--max-steps", 10**6),
+    ],
+)
+def test_size_flags_have_ceilings(capsys, argv, flag, ceiling):
+    # One past the ceiling fails at parsing, before any file is read or
+    # array allocated (the inputs named here do not exist).
+    with pytest.raises(SystemExit) as err:
+        main(argv + [str(ceiling + 1)])
+    assert err.value.code == 2
+    assert f"argument {flag}: must be an integer <= {ceiling}, got '{ceiling + 1}'" in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_reused(capsys):

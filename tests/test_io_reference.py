@@ -36,6 +36,7 @@ from meshtok.streamio import (
     _parse_text_stream,
     read_obj,
     write_obj,
+    write_pointcloud,
     write_stream,
     write_text_stream,
 )
@@ -50,6 +51,7 @@ from helpers import (
     reference_walk,
     reference_write_obj,
     reference_write_stream,
+    reference_write_xyz,
 )
 
 SETTINGS = settings(
@@ -148,14 +150,14 @@ def _compare_read_obj(path: Path, data: bytes) -> None:
 
 
 # Each named case runs with the vertex-line memo as it ships (True) and with
-# the memo given up after the first vertex line, so that every line is parsed
-# (False).
+# batches of one line, so that the memo is given up after the first vertex
+# line and every line is parsed (False).
 _MEMO = pytest.mark.parametrize("memo", [True, False])
 
 
 def _set_memo(monkeypatch, memo: bool) -> None:
     if not memo:
-        monkeypatch.setattr(streamio, "_MEMO_TRIAL", 1)
+        monkeypatch.setattr(streamio, "_BATCH_CHARS", 1)
 
 
 @SETTINGS
@@ -165,18 +167,18 @@ def test_read_obj_matches_reference(tmp_path, data):
 
 
 @SETTINGS
-@given(data=_obj_files(repeats=True), trial=st.sampled_from([1, 2, 3, 5, 1024]))
-def test_read_obj_with_repeated_lines_matches_reference(tmp_path, monkeypatch, data, trial):
-    # A small give-up point exercises both a memo that is kept and one that
-    # is dropped after the first vertex lines turn out distinct.
-    monkeypatch.setattr(streamio, "_MEMO_TRIAL", trial)
+@given(data=_obj_files(repeats=True), batch=st.sampled_from([1, 8, 20, 40, 1 << 14]))
+def test_read_obj_with_repeated_lines_matches_reference(tmp_path, monkeypatch, data, batch):
+    # Small batches exercise both a memo that is kept and one that is
+    # dropped after the first batch's vertex lines turn out distinct.
+    monkeypatch.setattr(streamio, "_BATCH_CHARS", batch)
     _compare_read_obj(tmp_path / "m.obj", data)
 
 
 _QUAD_CORNERS = ["v 0 0 0\n", "v 1 0 0\n", "v 1 1 0\n", "v 0 1 0\n", "v 0 0 1\n", "v 1 0 1\n"]
 _UNWELDED = "".join(_QUAD_CORNERS[i] for i in (0, 1, 2, 3, 1, 5, 2, 4)) + "f 1 2 3 4\nf 5 6 7 8\n"
-# 1,100 distinct vertex lines run past the give-up point; then repeats of the
-# first ones, parsed again, and a face over both.
+# 1,100 distinct vertex lines run past the first batch, so the memo is given
+# up; then repeats of the first ones, parsed again, and a face over both.
 _WELDED = "".join(f"v {i} {i / 8} {-i}\n" for i in range(1100))
 
 
@@ -300,12 +302,11 @@ def _compare_both_paths(path: Path, data: bytes, reference_data: bytes | None = 
 @given(
     files=_plain_obj_files(),
     batch=st.sampled_from([1, 2, 30, 1 << 16]),
-    trial=st.sampled_from([1, 3, 1024]),
 )
-def test_plain_files_take_the_batch_path(tmp_path, monkeypatch, files, batch, trial):
+def test_plain_files_take_the_batch_path(tmp_path, monkeypatch, files, batch):
+    # The batch size moves the point where the memo is kept or given up.
     data, reference_data = files
     monkeypatch.setattr(streamio, "_BATCH_CHARS", batch)
-    monkeypatch.setattr(streamio, "_MEMO_TRIAL", trial)
     assert _compare_both_paths(tmp_path / "m.obj", data, reference_data)
 
 
@@ -729,3 +730,12 @@ def test_write_obj_matches_reference(mesh):
     with tempfile.TemporaryDirectory() as tmp:
         new, ref = Path(tmp) / "new.obj", Path(tmp) / "ref.obj"
         assert _written(write_obj, mesh, new) == _written(reference_write_obj, mesh, ref)
+
+
+@SETTINGS
+@given(st.lists(st.floats(allow_infinity=True, allow_nan=True, width=64), max_size=24))
+def test_write_xyz_matches_reference(coords):
+    points = np.asarray(coords[: len(coords) // 3 * 3], dtype=np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = Path(tmp) / "new.xyz", Path(tmp) / "ref.xyz"
+        assert _written(write_pointcloud, points, new) == _written(reference_write_xyz, points, ref)

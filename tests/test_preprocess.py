@@ -458,6 +458,7 @@ class TestConfigValidation:
             {"proj_grid": -3},
             {"proj_grid": 2.5},
             {"proj_grid": True},
+            {"proj_grid": 4097},
             {"max_faces": 0},
             {"max_faces": -1},
             {"max_faces": 2.5},
@@ -483,6 +484,7 @@ class TestConfigValidation:
         [
             {"proj_grid": 1, "proj_min_area": 0.0, "flip_prob": 0.0, "max_faces": 1},
             {"proj_min_area": 1.0, "flip_prob": 1.0, "z_rot_max_degrees": -720.0},
+            {"proj_grid": 4096},  # the ceiling: building the config allocates nothing
         ],
     )
     def test_boundary_configs_accepted(self, kwargs):

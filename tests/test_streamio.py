@@ -343,7 +343,18 @@ class TestTextStream:
 
 class TestWritersCheckTheSequence:
     """Both writers refuse, through ``check_well_formed``, what no reader
-    would accept."""
+    would accept. The check does no geometry: a face that replay refuses is
+    written."""
+
+    @pytest.mark.parametrize("write", [write_stream, write_text_stream])
+    def test_vertex_repeating_an_edge_endpoint_is_written(self, tmp_path, write):
+        a, b = answer_vertex(QuantizedVertex(1, 2, 3)), answer_vertex(QuantizedVertex(4, 5, 6))
+        outputs = [a, b, a, ANSWER_STOP, ANSWER_STOP, ANSWER_STOP, ANSWER_EOS]
+        write(TokenSequence(7, "dfs", outputs), tmp_path / "x")
+        bits, order, answers = read_stream_answers(tmp_path / "x")
+        assert answers == outputs
+        with pytest.raises(DesyncError, match="step 2: recorded vertex repeats an edge endpoint"):
+            replay_outputs(answers, bits, order)
 
     @pytest.mark.parametrize("write", [write_stream, write_text_stream])
     def test_out_of_grid_vertex(self, triangle, tmp_path, write):
