@@ -106,10 +106,11 @@ class _Machine:
     ``mode`` is the kind of the input the next answer must answer: SOS, SOS2,
     EDGE (``edge`` then holds the popped edge as vertex indices) or EOS once
     the run has ended. Pending edges hold vertex indices, so a face costs one
-    interning lookup, for its new vertex. A strict machine (the default)
-    raises DesyncError on a face that repeats a vertex; a coercing one
-    records STOP in place of it and, with ``duplicate_check``, of a face
-    that reuses a directed edge or flips an emitted face (see ``_claim``).
+    interning lookup, for its new vertex. An answer's step is its index in
+    ``outputs``. A strict machine (the default) raises DesyncError on a face
+    that repeats a vertex; a coercing one records STOP in place of it and,
+    with ``duplicate_check``, of a face that reuses a directed edge or flips
+    an emitted face (see ``_claim``).
     """
 
     def __init__(self, bits: int, order: str, coerce: bool = False, duplicate_check: bool = False):
@@ -128,7 +129,6 @@ class _Machine:
         self.cells = 1 << bits
         self.outputs: list[PredictorAnswer] = []
         self.component = 0
-        self.step = 0
         self.mode = SOS
         self.v1 = 0
         self.edge = (0, 0)
@@ -157,22 +157,22 @@ class _Machine:
         kind, v = ans
         if kind == VERTEX:
             if v is None:
-                raise IllegalAnswerError(f"step {self.step}: a vertex answer carries no vertex")
+                raise IllegalAnswerError(f"step {len(self.outputs)}: a vertex answer carries no vertex")
             try:
                 x, y, z = v
             except (TypeError, ValueError):
                 raise IllegalAnswerError(
-                    f"step {self.step}: vertex {v!r} is not three integers"
+                    f"step {len(self.outputs)}: vertex {v!r} is not three integers"
                 ) from None
             if not (type(x) is int and type(y) is int and type(z) is int):  # bool is no coordinate
-                raise IllegalAnswerError(f"step {self.step}: vertex {tuple(v)} is not three integers")
+                raise IllegalAnswerError(f"step {len(self.outputs)}: vertex {tuple(v)} is not three integers")
             cells = self.cells
             if not (0 <= x < cells and 0 <= y < cells and 0 <= z < cells):
                 raise IllegalAnswerError(
-                    f"step {self.step}: vertex {tuple(v)} outside the {self.bits}-bit grid"
+                    f"step {len(self.outputs)}: vertex {tuple(v)} outside the {self.bits}-bit grid"
                 )
         elif v is not None:
-            raise IllegalAnswerError(f"step {self.step}: a {kind} answer carries a vertex")
+            raise IllegalAnswerError(f"step {len(self.outputs)}: a {kind} answer carries a vertex")
         mode = self.mode
         if mode == EDGE:
             if kind == VERTEX:  # emit the face of the popped edge and ``v``
@@ -180,7 +180,7 @@ class _Machine:
                 c = self.vert_index.get(v)
                 if a == b or c == a or c == b or self.edges is not None and not self._claim(a, b, c):
                     if not self.coerce:
-                        raise DesyncError(f"step {self.step}: recorded vertex repeats an edge endpoint")
+                        raise DesyncError(f"step {len(self.outputs)}: recorded vertex repeats an edge endpoint")
                     ans = ANSWER_STOP
                 else:
                     if c is None:
@@ -190,7 +190,7 @@ class _Machine:
                     self.pending.append((a, c))
                     self.pending.append((c, b))
             elif kind != STOP:
-                raise IllegalAnswerError(f"step {self.step}: {kind} answers EDGE")
+                raise IllegalAnswerError(f"step {len(self.outputs)}: {kind} answers EDGE")
             if self.pending:
                 self.edge = self.take()
             else:
@@ -203,19 +203,18 @@ class _Machine:
             elif kind == EOS:
                 self.mode = EOS
             else:
-                raise IllegalAnswerError(f"step {self.step}: {kind} answers SOS")
+                raise IllegalAnswerError(f"step {len(self.outputs)}: {kind} answers SOS")
         elif mode == SOS2:
             if kind != VERTEX:
-                raise IllegalAnswerError(f"step {self.step}: {kind} answers SOS2")
+                raise IllegalAnswerError(f"step {len(self.outputs)}: {kind} answers SOS2")
             v1, v2 = self.v1, self.intern(v)
             self.pending.append((v2, v1))  # twin below the start edge
             self.pending.append((v1, v2))
             self.edge = self.take()
             self.mode = EDGE
         else:
-            raise DesyncError(f"step {self.step}: answer after the terminal EOS")
+            raise DesyncError(f"step {len(self.outputs)}: answer after the terminal EOS")
         self.outputs.append(ans)
-        self.step += 1
 
     def _claim(self, a: int, b: int, c: Optional[int]) -> bool:
         """Whether the face (a, b, c), ``c`` None for a new vertex, reuses no
@@ -250,7 +249,7 @@ def run(predictor: Predictor, cfg: Optional[GeneratorConfig] = None) -> RunResul
     m = _Machine(cfg.bits, cfg.order, coerce=True, duplicate_check=cfg.duplicate_check)
     for _ in range(cfg.max_steps):
         v1 = m.verts[m.v1] if m.mode == SOS2 else None
-        query = PredictorQuery(m.step, m.mode, m.component, len(m.pending), v1, m.input_edge())
+        query = PredictorQuery(len(m.outputs), m.mode, m.component, len(m.pending), v1, m.input_edge())
         m.answer(predictor(query))
         if m.done:
             return m.result(HALT_EOS)

@@ -33,7 +33,7 @@ class DegenerateExtentError(ValueError):
 
 class OutOfRangeError(ValueError):
     """Coordinates fall outside [-0.5, 0.5] (normalize first), or are so
-    large that an augmentation overflows."""
+    large that an augmentation overflows or a float32 cannot hold them."""
 
 
 # The largest silhouette grid: its masks and summed-area table add about

@@ -121,11 +121,10 @@ def _walk(seq: TokenSequence) -> tuple[int, int, int]:
     a VERTEX, then one output per pending edge, where VERTEX adds one pending
     edge (pop one, push two) and STOP removes one; the component ends when no
     edge is pending. The sequence ends in exactly one EOS, answering the
-    start of a component. Each distinct vertex object is checked once, at
-    its first record: it must be three ints on the grid, and a bool or a
-    float is refused even where it equals an int vertex seen before. Errors
-    name the first bad record. The counter does no geometry: a vertex
-    repeating an edge endpoint is left for replay to reject.
+    start of a component. Every vertex record must be three ints on the
+    grid; a bool or a float is no coordinate. Errors name the first bad
+    record. The counter does no geometry: a vertex repeating an edge
+    endpoint is left for replay to reject.
     """
     if not valid_bits(seq.bits):
         raise MalformedSequenceError(f"bits {seq.bits} outside [1, 16]")
@@ -136,26 +135,21 @@ def _walk(seq: TokenSequence) -> tuple[int, int, int]:
     if not seq.outputs:
         raise MalformedSequenceError("empty sequence")
     cells = 1 << seq.bits
-    # ids of the vertex objects checked so far; ``outputs`` holds each of
-    # them for the whole walk, so no id is reused.
-    checked: set[int] = set()
     mode = SOS
     pending = faces = components = stops = 0
     outputs = seq.outputs
     for i, (kind, v) in enumerate(outputs):
         if kind == VERTEX:
-            if id(v) not in checked:
-                try:
-                    x, y, z = v
-                except (TypeError, ValueError):
-                    x = y = z = None
-                if v is not None and not (type(x) is int and type(y) is int and type(z) is int):
-                    raise MalformedSequenceError(f"record {i}: vertex {v!r} is not three integers")
-                if v is None or not (0 <= x < cells and 0 <= y < cells and 0 <= z < cells):
-                    raise MalformedSequenceError(
-                        f"record {i}: vertex {v} is not on the {seq.bits}-bit grid"
-                    )
-                checked.add(id(v))
+            try:
+                x, y, z = v
+            except (TypeError, ValueError):
+                x = y = z = None
+            if v is not None and not (type(x) is int and type(y) is int and type(z) is int):
+                raise MalformedSequenceError(f"record {i}: vertex {v!r} is not three integers")
+            if v is None or not (0 <= x < cells and 0 <= y < cells and 0 <= z < cells):
+                raise MalformedSequenceError(
+                    f"record {i}: vertex {v} is not on the {seq.bits}-bit grid"
+                )
             if mode == EDGE:
                 faces += 1
                 pending += 1

@@ -64,6 +64,7 @@ from .core import (
     require_triples,
     valid_bits,
 )
+from .preprocess import OutOfRangeError
 from .sequencer import (
     ANSWER_EOS,
     ANSWER_STOP,
@@ -585,7 +586,8 @@ def write_text_stream(seq: TokenSequence, path: Union[str, Path]) -> SequenceSta
 
 
 def write_pointcloud(points: np.ndarray, path: Union[str, Path], fmt: str = "xyz") -> None:
-    """Plain-text XYZ (9 significant digits) or binary little-endian PLY."""
+    """Plain-text XYZ (9 significant digits) or binary little-endian PLY, whose
+    float32 coordinates must be finite (else OutOfRangeError, nothing written)."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(points) == 0:
         raise ValueError("refusing to write an empty point set")
@@ -602,7 +604,10 @@ def write_pointcloud(points: np.ndarray, path: Union[str, Path], fmt: str = "xyz
             "property float z\n"
             "end_header\n"
         )
-        body = points.astype("<f4").tobytes()
-        path.write_bytes(header.encode("ascii") + body)
+        with np.errstate(over="ignore"):
+            body = points.astype("<f4")
+        if not np.isfinite(body).all():
+            raise OutOfRangeError("coordinates too large for a float32 PLY (limit 3.4028235e+38)")
+        path.write_bytes(header.encode("ascii") + body.tobytes())
     else:
         raise ValueError(f"unknown point cloud format {fmt!r}")

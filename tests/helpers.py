@@ -794,7 +794,7 @@ def reference_run(predictor: Predictor, cfg: Optional[GeneratorConfig] = None) -
     emitted: Optional[set[frozenset[int]]] = set() if cfg.duplicate_check else None
     for _ in range(cfg.max_steps):
         v1 = m.verts[m.v1] if m.mode == SOS2 else None
-        query = PredictorQuery(m.step, m.mode, m.component, len(m.pending), v1, m.input_edge())
+        query = PredictorQuery(len(m.outputs), m.mode, m.component, len(m.pending), v1, m.input_edge())
         ans = predictor(query)
         if m.mode == EDGE and ans.kind == VERTEX and _reference_on_grid(ans.vertex, m.cells):
             ans = _reference_adjust(m, ans, emitted)
@@ -840,7 +840,7 @@ def reference_edge_run(predictor: Predictor, cfg: Optional[GeneratorConfig] = No
     edges: Optional[dict[int, int]] = {} if cfg.duplicate_check else None
     for _ in range(cfg.max_steps):
         v1 = m.verts[m.v1] if m.mode == SOS2 else None
-        query = PredictorQuery(m.step, m.mode, m.component, len(m.pending), v1, m.input_edge())
+        query = PredictorQuery(len(m.outputs), m.mode, m.component, len(m.pending), v1, m.input_edge())
         ans = predictor(query)
         if m.mode == EDGE and ans.kind == VERTEX:
             ans = _reference_adjust_edge(m, ans, edges)
@@ -891,29 +891,29 @@ class ReferenceMachine(_Machine):
         kind, v = ans
         if kind == VERTEX:
             if v is None:
-                raise IllegalAnswerError(f"step {self.step}: a vertex answer carries no vertex")
+                raise IllegalAnswerError(f"step {len(self.outputs)}: a vertex answer carries no vertex")
             # _legal_vertex, inlined on the replay path
             try:
                 x, y, z = v
             except (TypeError, ValueError):
                 raise IllegalAnswerError(
-                    f"step {self.step}: vertex {v!r} is not three integers"
+                    f"step {len(self.outputs)}: vertex {v!r} is not three integers"
                 ) from None
             if not (type(x) is int and type(y) is int and type(z) is int):  # bool is no coordinate
-                raise IllegalAnswerError(f"step {self.step}: vertex {tuple(v)} is not three integers")
+                raise IllegalAnswerError(f"step {len(self.outputs)}: vertex {tuple(v)} is not three integers")
             cells = self.cells
             if not (0 <= x < cells and 0 <= y < cells and 0 <= z < cells):
                 raise IllegalAnswerError(
-                    f"step {self.step}: vertex {tuple(v)} outside the {self.bits}-bit grid"
+                    f"step {len(self.outputs)}: vertex {tuple(v)} outside the {self.bits}-bit grid"
                 )
         elif v is not None:
-            raise IllegalAnswerError(f"step {self.step}: a {kind} answer carries a vertex")
+            raise IllegalAnswerError(f"step {len(self.outputs)}: a {kind} answer carries a vertex")
         mode = self.mode
         if mode == EDGE:
             if kind == VERTEX:
                 self._face(v)
             elif kind != STOP:
-                raise IllegalAnswerError(f"step {self.step}: {kind} answers EDGE")
+                raise IllegalAnswerError(f"step {len(self.outputs)}: {kind} answers EDGE")
             if self.pending:
                 self.edge = self.take()
             else:
@@ -926,26 +926,25 @@ class ReferenceMachine(_Machine):
             elif kind == EOS:
                 self.mode = EOS
             else:
-                raise IllegalAnswerError(f"step {self.step}: {kind} answers SOS")
+                raise IllegalAnswerError(f"step {len(self.outputs)}: {kind} answers SOS")
         elif mode == SOS2:
             if kind != VERTEX:
-                raise IllegalAnswerError(f"step {self.step}: {kind} answers SOS2")
+                raise IllegalAnswerError(f"step {len(self.outputs)}: {kind} answers SOS2")
             v1, v2 = self.v1, self.intern(v)
             self.pending.append((v2, v1))  # twin below the start edge
             self.pending.append((v1, v2))
             self.edge = self.take()
             self.mode = EDGE
         else:
-            raise DesyncError(f"step {self.step}: answer after the terminal EOS")
+            raise DesyncError(f"step {len(self.outputs)}: answer after the terminal EOS")
         self.outputs.append(ans)
-        self.step += 1
 
     def _face(self, c: QuantizedVertex) -> None:
         """Emit the face of the current edge and the vertex ``c``."""
         ia, ib = self.edge
         ic = self.vert_index.get(c)
         if ia == ib or ic == ia or ic == ib:
-            raise DesyncError(f"step {self.step}: recorded vertex repeats an edge endpoint")
+            raise DesyncError(f"step {len(self.outputs)}: recorded vertex repeats an edge endpoint")
         if ic is None:
             ic = self.intern(c)
         self.faces.append(Face(ia, ib, ic))

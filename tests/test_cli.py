@@ -288,6 +288,23 @@ def test_augment_overflow_is_a_rejection(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ply_overflow_is_a_rejection(tmp_path, capsys):
+    # Samples of a triangle at +/-1e39 are finite doubles, but most exceed
+    # the float32 range of a PLY body: no warning and no file of inf. The
+    # text form holds doubles and writes them.
+    obj = tmp_path / "big.obj"
+    obj.write_text("v 1e39 1e39 1e39\nv -1e39 1e39 -1e39\nv 1e39 -1e39 -1e39\nf 1 2 3\n")
+    ply = tmp_path / "pc.ply"
+    assert main(["sample-pc", str(obj), "-o", str(ply), "--format", "ply", "-n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coordinates too large for a float32 PLY (limit 3.4028235e+38)\n"
+    assert not ply.exists()
+    xyz = tmp_path / "pc.xyz"
+    assert main(["sample-pc", str(obj), "-o", str(xyz), "--format", "xyz", "-n", "4"]) == 0
+    assert len(xyz.read_text().splitlines()) == 4
+
+
 def test_malformed_text_stream_is_a_format_error(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"magic":"TMTS","bits":7,"order":"dfs"}\n{"op":"v","z":1,"y":2}\n')

@@ -15,15 +15,24 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex, dequantize_mesh
+from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex, dequantize_mesh, valid_bits
 from meshtok import generator
-from meshtok.generator import GeneratorConfig, answer_from_json, fuzz_predictor, replay_outputs, run
+from meshtok.generator import (
+    DesyncError,
+    GeneratorConfig,
+    IllegalAnswerError,
+    answer_from_json,
+    fuzz_predictor,
+    replay_outputs,
+    run,
+)
 from meshtok.preprocess import augment
 from meshtok.sequencer import (
     ANSWER_EOS,
     ANSWER_STOP,
     STOP,
     VERTEX,
+    MalformedSequenceError,
     PredictorAnswer,
     TokenSequence,
     _walk,
@@ -672,6 +681,26 @@ def test_machine_matches_reference(seq, duplicate_check):
     with mock.patch.object(generator, "_Machine", ReferenceMachine):
         ref = _machine_outcomes(seq, duplicate_check, reference_edge_run)
     assert new == ref
+
+
+@SETTINGS
+@given(_sequences(tuple(_ANSWERS + _NON_INT_ANSWERS)))
+def test_walk_refuses_only_what_replay_refuses(seq):
+    # The grammar walk that both writers run, against strict replay. Where
+    # the walk accepts, replay counts the same, or refuses a vertex that
+    # repeats an edge endpoint: the one rule the walk leaves to replay.
+    assume(valid_bits(seq.bits) and seq.order in ("dfs", "bfs") and not seq.truncated)
+    replay = _outcome(lambda: replay_outputs(seq.outputs, seq.bits, seq.order).stats)
+    walk = _outcome(sequence_stats, seq)
+    if walk[0] == "error":
+        assert walk[1] is MalformedSequenceError
+        assert replay[0] == "error" and replay[1] in (IllegalAnswerError, DesyncError), replay
+    elif replay[0] == "error":
+        assert replay[1] is DesyncError and replay[2].endswith(
+            ": recorded vertex repeats an edge endpoint"
+        ), replay
+    else:
+        assert replay == walk
 
 
 def _written(write, obj, path: Path):

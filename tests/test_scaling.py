@@ -9,13 +9,14 @@ import time
 
 import numpy as np
 
-from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex
+from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex, validate_manifold
 from meshtok.generator import GeneratorConfig, replay_outputs, run
-from meshtok.metrics import normal_consistency
-from meshtok.preprocess import PreprocessConfig, filter_mesh, quantize
+from meshtok.halfedge import build
+from meshtok.metrics import chamfer, normal_consistency, sample_surface
+from meshtok.preprocess import PreprocessConfig, filter_mesh, normalize, quantize
 from meshtok.procgen import torus
 from meshtok.sequencer import PredictorAnswer, encode
-from meshtok.streamio import read_obj, read_stream_answers, write_obj, write_text_stream
+from meshtok.streamio import read_obj, read_stream_answers, write_obj, write_stream, write_text_stream
 
 
 def _best_times(*fns, repeats: int = 5) -> list[float]:
@@ -144,3 +145,57 @@ def test_machine_is_linear_in_components():
     for t_small, t_large in zip(small, large):
         assert t_large < 0.5
         assert t_large / t_small <= 8.0
+
+
+def test_normalize_and_quantize_are_linear_on_unwelded_quads(tmp_path):
+    # Every corner of every quad on its own ``v`` line, so that quantize
+    # merges four copies of each vertex.
+    meshes = []
+    for name, major, minor in (("u1.obj", 20, 50), ("u4.obj", 40, 100)):  # 1,000 and 4,000 quads
+        path = tmp_path / name
+        path.write_text(_unwelded_quads(major, minor))
+        meshes.append(read_obj(path))
+    small, large = meshes
+    for fn, args in ((normalize, (small, large)), (quantize, (normalize(small), normalize(large)))):
+        t_small, t_large = _best_times(lambda: fn(args[0]), lambda: fn(args[1]), repeats=9)
+        assert t_large < 0.5
+        assert t_large / t_small <= 8.0, fn.__name__
+
+
+def test_halfedge_build_and_validation_are_linear_in_components():
+    small, large = _tetrahedra(150), _tetrahedra(600)
+    for fn in (build, validate_manifold):
+        t_small, t_large = _best_times(lambda: fn(small), lambda: fn(large), repeats=9)
+        assert t_large < 0.5
+        assert t_large / t_small <= 8.0, fn.__name__
+
+
+def test_stream_writers_are_linear_in_components(tmp_path):
+    # Each writer walks the grammar of the whole sequence before it writes.
+    small, large = encode(_tetrahedra(150)), encode(_tetrahedra(600))
+    for fn in (write_stream, write_text_stream):
+        path = tmp_path / fn.__name__
+        t_small, t_large = _best_times(lambda: fn(small, path), lambda: fn(large, path), repeats=9)
+        assert t_large < 0.5
+        assert t_large / t_small <= 8.0, fn.__name__
+
+
+def test_write_obj_is_linear_on_quantized_meshes(tmp_path):
+    small, large = _tetrahedra(150), _tetrahedra(600)
+    path = tmp_path / "out.obj"
+    t_small, t_large = _best_times(lambda: write_obj(small, path), lambda: write_obj(large, path), repeats=9)
+    assert t_large < 0.5
+    assert t_large / t_small <= 8.0
+
+
+def test_sampling_and_chamfer_are_n_log_n_in_samples():
+    mesh = torus(20, 35)
+    scaled = MeshReal(mesh.vertices * 1.001, mesh.faces)
+    counts = (1 << 13, 1 << 15)
+    t_small, t_large = _best_times(*(lambda n=n: sample_surface(mesh, n, 1) for n in counts))
+    assert t_large < 0.5
+    assert t_large / t_small <= 8.0
+    pairs = [(sample_surface(mesh, n, 1), sample_surface(scaled, n, 2)) for n in counts]
+    t_small, t_large = _best_times(*(lambda p=p: chamfer(*p) for p in pairs))
+    assert t_large < 0.5
+    assert t_large / t_small <= 8.0
