@@ -125,7 +125,9 @@ class _Machine:
         self.take = self.pending.pop if order == DFS else self.pending.popleft
         self.vert_index: dict[QuantizedVertex, int] = {}
         self.verts: list[QuantizedVertex] = []
-        self.faces: list[tuple[int, int, int]] = []  # Face records in result()
+        # Emitted faces as plain tuples: result() makes them Face records in
+        # one map, which costs less than a Face built at each emit.
+        self.faces: list[tuple[int, int, int]] = []
         self.cells = 1 << bits
         self.outputs: list[PredictorAnswer] = []
         self.component = 0

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -195,19 +196,25 @@ def encode(mesh: QuantizedMesh, order: str = DFS) -> TokenSequence:
     conn = halfedge.build(mesh)
     if not conn.report.ok:
         raise InvalidMeshError(conn.report)
-    emit = [answer_vertex(p) for p in mesh.vertices]
-    # Every half-edge in (rank(origin), rank(dest)) order, rank being a
-    # vertex's place in (z, y, x, index) order; both sorts are stable, so
-    # ties keep index order. A component starts at the first half-edge of a
-    # face not yet visited; faces stay visited, so the cursor only moves
-    # forward.
+    # answer_vertex of each vertex, through the constructor it calls
+    emit = list(map(tuple.__new__, repeat(PredictorAnswer), zip(repeat(VERTEX), mesh.vertices)))
+    # A component starts at the first half-edge, in (rank(origin),
+    # rank(dest)) order, of a face not yet visited; rank is a vertex's place
+    # in (z, y, x, index) order. The key rank(origin)·n + rank(dest) names a
+    # directed edge, so it is unique on a valid mesh, and the first such
+    # half-edge is the smallest of the unvisited face whose smallest key is
+    # smallest. So the faces are sorted by their smallest key, each with
+    # that half-edge; faces stay visited, so the cursor only moves forward.
     n = len(mesh.vertices)
     pos = vertex_array(mesh)
     rank = np.empty(n, dtype=np.int64)
     rank[np.lexsort((pos[:, 0], pos[:, 1], pos[:, 2]))] = np.arange(n)
     origin, twin = conn.origin, conn.twin
     ends = rank[np.array(origin, dtype=np.int64).reshape(-1, 3)]
-    starts = np.argsort(ends * n + ends[:, [1, 2, 0]], axis=None, kind="stable").tolist()
+    keys = ends * n + ends[:, [1, 2, 0]]
+    first = keys.argmin(axis=1)
+    by_key = np.argsort(keys[np.arange(len(keys)), first])
+    starts = (3 * by_key + first[by_key]).tolist()
     cursor = 0
     visited = [False] * len(mesh.faces)
     remaining = len(mesh.faces)

@@ -20,15 +20,21 @@ is strict, keeps every recorded face and adjusts no answer.
 Token stream (text): one JSON object per line, same information as binary.
     {"magic":"TMTS","bits":7,"order":"dfs"}
     {"op":"v","z":Z,"y":Y,"x":X} | {"op":"stop"} | {"op":"eos"}
+Lines end at "\\n" or "\\r\\n" only, and blank lines are skipped; any other
+character at which ``str.splitlines`` would break a line is an error in the
+line that holds it.
 
 Both forms convert losslessly into each other. The pipe protocol for
 external predictors (``generator.PipePredictor``) answers with the same
 records.
 
 A mesh repeats few distinct records: each vertex appears once as a VERTEX
-output, and a grid has few distinct coordinates. So the stream parsers parse
-each distinct text line, or each distinct 6 coordinate bytes, once and look
-their repeats up; ``write_text_stream`` formats each distinct answer once, and
+output, and a grid has few distinct coordinates. So the text parser parses
+each distinct line once, in first-seen order, and maps every line through
+that table in one call; the binary parser converts each distinct 6
+coordinate bytes once and looks their repeats up. Both build vertex answers
+with ``tuple.__new__`` and count EOS records as they meet them.
+``write_text_stream`` formats each distinct answer once, and
 ``write_obj`` each distinct grid coordinate and face index, then builds each
 section with one ``str.format`` call. A text record exactly as the writer
 formats it is converted without the JSON decoder; any other line is decoded
@@ -411,6 +417,7 @@ def _parse_stream_bytes(data: bytes) -> tuple[int, str, list[PredictorAnswer]]:
     answers: list[PredictorAnswer] = []
     append = answers.append
     vertices: dict[bytes, PredictorAnswer] = {}  # by their 6 coordinate bytes
+    n_eos = 0
     pos, end = 11, len(data)
     for _ in range(count):
         if pos >= end:
@@ -427,7 +434,10 @@ def _parse_stream_bytes(data: bytes) -> tuple[int, str, list[PredictorAnswer]]:
                     raise FormatError(
                         f"coordinate out of range for {bits}-bit grid", pos + 1
                     )
-                answer = vertices[key] = answer_vertex(QuantizedVertex(x, y, z))
+                # answer_vertex(QuantizedVertex(x, y, z)), through the
+                # constructor both NamedTuples call
+                vertex = tuple.__new__(QuantizedVertex, (x, y, z))
+                answer = vertices[key] = tuple.__new__(PredictorAnswer, (VERTEX, vertex))
             append(answer)
             pos += 7
         elif op == _OP_STOP:
@@ -435,18 +445,20 @@ def _parse_stream_bytes(data: bytes) -> tuple[int, str, list[PredictorAnswer]]:
             pos += 1
         elif op == _OP_EOS:
             append(ANSWER_EOS)
+            n_eos += 1
             pos += 1
         else:
             raise FormatError(f"unknown opcode {op}", pos)
     if pos != end:
         raise FormatError(f"{end - pos} trailing bytes", pos)
-    _require_single_terminal_eos(answers)
+    _require_single_terminal_eos(answers, n_eos)
     return bits, order, answers
 
 
-def _require_single_terminal_eos(answers: list[PredictorAnswer]) -> None:
-    # The parsers give every EOS as the ANSWER_EOS record.
-    if not answers or answers[-1] != ANSWER_EOS or answers.count(ANSWER_EOS) != 1:
+def _require_single_terminal_eos(answers: list[PredictorAnswer], n_eos: int) -> None:
+    """FormatError unless the parser met one EOS, ``n_eos`` counting them, and
+    it is the last answer. The parsers give every EOS as ANSWER_EOS."""
+    if n_eos != 1 or answers[-1] is not ANSWER_EOS:
         raise FormatError("stream must contain exactly one EOS, as its last record")
 
 
@@ -520,7 +532,7 @@ def _parse_answer(line: str, where: str, cells: int = 1 << 16) -> PredictorAnswe
         z, y, x = match.groups()
         x, y, z = int(x), int(y), int(z)
         if x < cells and y < cells and z < cells:
-            return answer_vertex(QuantizedVertex(x, y, z))
+            return tuple.__new__(PredictorAnswer, (VERTEX, tuple.__new__(QuantizedVertex, (x, y, z))))
     elif line == _STOP_LINE:
         return ANSWER_STOP
     elif line == _EOS_LINE:
@@ -536,14 +548,32 @@ def _parse_answer(line: str, where: str, cells: int = 1 << 16) -> PredictorAnswe
     raise FormatError(f"unknown op {op!r} on {where}")
 
 
+# The characters other than "\n" at which ``str.splitlines`` breaks a line.
+# Text-stream lines end at "\n" or "\r\n" only, as ``readline`` reads the
+# pipe protocol's answers; one of these inside a line is an error there.
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
-    """Header fields plus outputs; every malformed line is a FormatError
-    naming its line number (counting blank lines). Each distinct record line
-    is parsed once; its repeats are looked up."""
-    lines = text.splitlines()
+    """Header fields plus outputs. A malformed line, or one that holds a
+    character of ``_LINE_BREAKS``, is a FormatError naming its line number
+    (counting blank lines); the first such line of the text is named.
+
+    Each distinct body line is parsed once, in first-seen order, and every
+    line is then looked up in that table. A bad line's number is looked up,
+    as its first occurrence, only once it has failed."""
+    text = text.replace("\r\n", "\n")
+    lines = text.removesuffix("\n").split("\n")
+    broken = None  # the error of the first line that holds a line break
+    found = [at for at in map(text.find, _LINE_BREAKS) if at >= 0]
+    if found:
+        at = min(found)
+        n = text.count("\n", 0, at)  # the lines before it, which are read first
+        broken = FormatError(f"line break {text[at]!r} inside line {n + 1}")
+        del lines[n:]
     start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if start is None:
-        raise FormatError("empty text stream")
+        raise broken or FormatError("empty text stream")
     header_line = start + 1
     header = _text_object(lines[start], f"line {header_line}")
     if header.get("magic") != "TMTS":
@@ -555,18 +585,23 @@ def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
     if order not in (DFS, BFS):
         raise FormatError(f"unknown order {order!r} on line {header_line}")
     cells = 1 << bits
-    answers: list[PredictorAnswer] = []
-    append = answers.append
-    parsed: dict[str, PredictorAnswer] = {}
-    get = parsed.get
-    for i, line in enumerate(lines[header_line:], header_line + 1):
-        answer = get(line)
-        if answer is None:
-            if not line.strip():
-                continue
-            answer = parsed[line] = _parse_answer(line, f"line {i}", cells)
-        append(answer)
-    _require_single_terminal_eos(answers)
+    body = lines[header_line:]
+    table = dict.fromkeys(body)  # each distinct line -> its answer; None if blank
+    try:
+        for line in filter(str.strip, table):
+            table[line] = _parse_answer(line, "", cells)
+    except FormatError:
+        # The first bad line of the text is the first occurrence of the
+        # first distinct line that fails: parse it again, naming that line.
+        _parse_answer(line, f"line {header_line + 1 + body.index(line)}", cells)
+        raise
+    if broken:
+        raise broken
+    answers = list(map(table.__getitem__, body))
+    if None in table.values():  # drop the blank lines
+        answers = list(filter(None, answers))
+    eos_lines = [ln for ln, answer in table.items() if answer is ANSWER_EOS]
+    _require_single_terminal_eos(answers, sum(map(body.count, eos_lines)))
     return bits, order, answers
 
 

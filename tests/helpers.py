@@ -686,24 +686,40 @@ def reference_dumps_text_stream(seq: TokenSequence) -> str:
     return "\n".join([header, *map(_answer_line, seq.outputs)]) + "\n"
 
 
+# Every character but "\n" at which ``str.splitlines`` ends a line.
+_OTHER_LINE_BREAKS = frozenset("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 def reference_parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
-    """Header fields plus outputs; every malformed line is a FormatError
-    naming its line number (counting blank lines)."""
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
+    """Header fields plus outputs, line by line; the first malformed line is a
+    FormatError naming its line number (counting blank lines). A line ends at
+    "\\n", and a "\\r" just before it belongs to the line end; any other
+    line-break character is an error in its line."""
+    *ended, last = text.split("\n")
+    rows = [row.removesuffix("\r") for row in ended] + ([last] if last else [])
+    header = None
+    answers: list[PredictorAnswer] = []
+    for i, row in enumerate(rows, 1):
+        stray = [ch for ch in row if ch in _OTHER_LINE_BREAKS]
+        if stray:
+            raise FormatError(f"line break {stray[0]!r} inside line {i}")
+        if not row.strip():
+            continue
+        if header is not None:
+            answers.append(reference_parse_answer(row, f"line {i}", cells))
+            continue
+        header = _text_object(row, f"line {i}")
+        if header.get("magic") != "TMTS":
+            raise FormatError(f"bad magic in text header on line {i}")
+        bits = header.get("bits")
+        if type(bits) is not int or not valid_bits(bits):  # bool is not a bit count
+            raise FormatError(f"bits {bits!r} on line {i} is not an integer in [1, 16]")
+        order = header.get("order")
+        if order not in (DFS, BFS):
+            raise FormatError(f"unknown order {order!r} on line {i}")
+        cells = 1 << bits
+    if header is None:
         raise FormatError("empty text stream")
-    header_line, header_text = lines[0]
-    header = _text_object(header_text, f"line {header_line}")
-    if header.get("magic") != "TMTS":
-        raise FormatError(f"bad magic in text header on line {header_line}")
-    bits = header.get("bits")
-    if type(bits) is not int or not valid_bits(bits):  # bool is not a bit count
-        raise FormatError(f"bits {bits!r} on line {header_line} is not an integer in [1, 16]")
-    order = header.get("order")
-    if order not in (DFS, BFS):
-        raise FormatError(f"unknown order {order!r} on line {header_line}")
-    cells = 1 << bits
-    answers = [reference_parse_answer(line, f"line {i}", cells) for i, line in lines[1:]]
     _reference_require_single_terminal_eos(answers)
     return bits, order, answers
 

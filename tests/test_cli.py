@@ -313,6 +313,26 @@ def test_malformed_text_stream_is_a_format_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_line_break_inside_a_text_record_is_a_format_error(tmp_path, capsys, tetra, brk):
+    # Lines end at "\n" only: two records joined by another break character
+    # are one bad line, not two records.
+    stream = tmp_path / "t.jsonl"
+    write_text_stream(encode(tetra), stream)
+    lines = stream.read_text().splitlines()
+    assert main(["stats", str(stream)]) == 0
+    joined = tmp_path / "joined.jsonl"
+    joined.write_bytes("\n".join([*lines[:-2], lines[-2] + brk + lines[-1]]).encode("utf-8") + b"\n")
+    capsys.readouterr()
+    assert main(["detokenize", str(joined), "-o", str(tmp_path / "x.obj")]) == 2
+    assert main(["stats", str(joined)]) == 2
+    assert f"line break {brk!r} inside line {len(lines) - 1}" in capsys.readouterr().err
+    assert not (tmp_path / "x.obj").exists()
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")  # CRLF still reads
+    assert main(["stats", str(crlf)]) == 0
+
+
 def test_preprocess_accepts_raw_mesh(tmp_path, capsys):
     raw = tmp_path / "raw.obj"
     mesh = tetrahedron()

@@ -37,6 +37,7 @@ from meshtok.sequencer import (
     TokenSequence,
     _walk,
     answer_vertex,
+    encode,
     sequence_stats,
 )
 from meshtok import streamio
@@ -585,6 +586,80 @@ def test_bad_record_after_a_good_copy_of_itself():
     text = '{"magic":"TMTS","bits":7,"order":"dfs"}\n{"op":"eos"}\n{"op":"eos"}\n'
     new, ref = _outcome(_parse_text_stream, text), _outcome(reference_parse_text_stream, text)
     assert new == ref and new[0] == "error"
+
+
+_HEADER = '{"magic":"TMTS","bits":7,"order":"dfs"}'
+_V1, _V2 = '{"op":"v","z":1,"y":2,"x":3}', '{"op":"v","z":4,"y":5,"x":6}'
+_V1_SPACED = '{"op": "v", "z": 1, "y": 2, "x": 3}'
+_FACE = [_V1, _V2, '{"op":"v","z":7,"y":8,"x":9}', '{"op":"stop"}', '{"op":"stop"}', '{"op":"stop"}']
+
+
+def _text(lines: list[str], end: str = "\n", final: Optional[str] = None) -> str:
+    """``lines``, each ended by ``end``; the last by ``final`` if given."""
+    return end.join(lines) + (end if final is None else final)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        # A repeated bad line is named at its first occurrence.
+        (_text([_HEADER, _V1, '{"op":"v","z":1,"y":2}', _V2, '{"op":"v","z":1,"y":2}', '{"op":"eos"}']), "line 3"),
+        (_text([_HEADER, *_FACE, '{"op":"halt"}', *_FACE, '{"op":"halt"}']), "line 8"),
+        (_text([_HEADER, _V1, '{"op":"v","z":1,"y":2,"x":300}', _V1, '{"op":"v","z":1,"y":2,"x":300}']), "line 3"),
+        # Blank and whitespace-only lines between records, and before the header.
+        (_text(["", _HEADER, "", *_FACE[:3], "  ", "\t", *_FACE[3:], "", '{"op":"eos"}', "", ""]), None),
+        (_text([_HEADER, "   ", "   ", "{oops", '{"op":"eos"}']), "line 4"),
+        # CRLF line ends, and a text that ends without a line end.
+        (_text([_HEADER, *_FACE, '{"op":"eos"}'], "\r\n"), None),
+        (_text([_HEADER, *_FACE, '{"op":"eos"}'], final=""), None),
+        # One record written with different spacing, as its first and later copy.
+        (_text([_HEADER, _V1_SPACED, _V2, '{"op":"v","z":7,"y":8,"x":9}', _V1, *_FACE[3:], '{"op":"eos"}']), None),
+        (_text([_HEADER, *_FACE[:2], _V1_SPACED, '{"op": "eos" }']), None),
+        (_text([_HEADER, '{"op": "eos" }', '{"op":"eos"}']), "exactly one EOS"),
+        # Other line breaks inside a line: only the lines before them are read.
+        (_text([_HEADER + "\x0c" + '{"op":"eos"}']), "inside line 1"),
+        (_text([_HEADER, *_FACE[:5], '{"op":"stop"}\r{"op":"eos"}']), "inside line 7"),
+        (_text([_HEADER, "{oops", _V1 + "\u2028" + _V2, '{"op":"eos"}']), "line 2"),
+        (_text(["\x85", _HEADER, '{"op":"eos"}']), "inside line 1"),
+    ],
+    ids=[
+        "repeated_missing_coordinate",
+        "repeated_unknown_op",
+        "repeated_off_grid",
+        "blank_lines",
+        "blank_line_repeats_then_bad_json",
+        "crlf",
+        "no_final_line_end",
+        "spacing_first",
+        "spacing_later",
+        "spaced_and_plain_eos",
+        "form_feed",
+        "lone_carriage_return",
+        "earlier_bad_line_first",
+        "next_line_before_header",
+    ],
+)
+def test_text_stream_layouts_match_reference(text, named):
+    new, ref = _outcome(_parse_text_stream, text), _outcome(reference_parse_text_stream, text)
+    assert new == ref
+    if named is None:
+        assert new[0] == "ok"
+    else:
+        assert new[0] == "error" and named in new[2]
+
+
+def test_vertex_answers_hold_quantized_vertices(corpus7, tmp_path):
+    # Tuple equality would let a plain tuple of the wrong class through.
+    for name, mesh in corpus7:
+        for order in ("dfs", "bfs"):
+            seq = encode(mesh, order)
+            write_stream(seq, tmp_path / "s.tmts")
+            write_text_stream(seq, tmp_path / "s.jsonl")
+            binary = _parse_stream_bytes((tmp_path / "s.tmts").read_bytes())[2]
+            text = _parse_text_stream((tmp_path / "s.jsonl").read_text())[2]
+            for answers in (seq.outputs, binary, text):
+                assert {type(a) for a in answers} == {PredictorAnswer}
+                assert {type(a.vertex) for a in answers if a.kind == VERTEX} == {QuantizedVertex}, name
 
 
 # --- writers and the grammar walk --------------------------------------------

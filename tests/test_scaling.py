@@ -8,6 +8,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex, validate_manifold
 from meshtok.generator import GeneratorConfig, replay_outputs, run
@@ -16,7 +17,7 @@ from meshtok.metrics import chamfer, normal_consistency, sample_surface
 from meshtok.preprocess import PreprocessConfig, filter_mesh, normalize, quantize
 from meshtok.procgen import torus
 from meshtok.sequencer import PredictorAnswer, encode
-from meshtok.streamio import read_obj, read_stream_answers, write_obj, write_stream, write_text_stream
+from meshtok.streamio import FormatError, read_obj, read_stream_answers, write_obj, write_stream, write_text_stream
 
 
 def _best_times(*fns, repeats: int = 5) -> list[float]:
@@ -122,6 +123,25 @@ def test_text_stream_reader_is_linear_in_distinct_vertices(tmp_path):
     for path, count in zip(paths, (500, 2000)):  # 2,000 and 8,000 vertices
         write_text_stream(encode(_tetrahedra(count)), path)
     t_small, t_large = _best_times(*(lambda p=p: read_stream_answers(p) for p in paths), repeats=9)
+    assert t_large < 0.5
+    assert t_large / t_small <= 8.0
+
+
+def test_text_stream_reader_error_path_is_linear(tmp_path):
+    # The same streams with a malformed last line: the reader looks up where
+    # the bad line first occurs only once it fails.
+    paths = [tmp_path / "s1.jsonl", tmp_path / "s4.jsonl"]
+    for path, count in zip(paths, (500, 2000)):  # 2,000 and 8,000 distinct vertex lines
+        write_text_stream(encode(_tetrahedra(count)), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines[:-1], '{"op":"v","z":1,"y":2}']) + "\n")
+
+    def fails(path, line: int) -> None:
+        with pytest.raises(FormatError, match=f"vertex on line {line} needs"):
+            read_stream_answers(path)
+
+    n_lines = [len(path.read_text().splitlines()) for path in paths]
+    t_small, t_large = _best_times(*(lambda p=p, n=n: fails(p, n) for p, n in zip(paths, n_lines)), repeats=9)
     assert t_large < 0.5
     assert t_large / t_small <= 8.0
 
