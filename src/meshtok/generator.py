@@ -351,7 +351,8 @@ def query_to_json(query: PredictorQuery) -> str:
 
 
 def query_from_json(line: str) -> PredictorQuery:
-    """Parse one request line; FormatError unless it is a JSON object with a
+    """Parse one request line; FormatError if it holds a line break other
+    than "\\n" (``streamio._text_object``) or is not a JSON object with a
     known kind, non-negative integer step, component and stack_depth, and the
     vertices its kind carries (``v1``, or ``a`` and ``b``) with integer x, y,
     z in [0, 2**16)."""
@@ -380,8 +381,9 @@ def answer_to_json(answer: PredictorAnswer) -> str:
 
 
 def answer_from_json(line: str) -> PredictorAnswer:
-    """Parse one answer line with the text-stream record parser: FormatError
-    on anything but a STOP, an EOS or a vertex with integer coordinates in
+    """Parse one answer line, without its line end, with the text-stream
+    record parser: FormatError on a line break inside the line and on
+    anything but a STOP, an EOS or a vertex with integer coordinates in
     [0, 2**16). The machine checks the run's grid."""
     return _parse_answer(line, "answer line")
 
@@ -399,4 +401,4 @@ class PipePredictor:
         line = self.responses.readline()
         if not line:
             raise DesyncError("external predictor closed the pipe")
-        return answer_from_json(line.removesuffix("\n"))
+        return answer_from_json(line.replace("\r\n", "\n").removesuffix("\n"))

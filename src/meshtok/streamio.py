@@ -10,19 +10,22 @@ Only step outputs are stored, exactly what a ``TokenSequence`` holds; the
 decoder's stack machine re-derives every input on replay, which is what
 makes two tokens per face real at the file level. The writers check the
 sequence first, with the one grammar walk that ``sequence_stats`` makes, and
-return its ``SequenceStats``. ``read_stream_answers`` returns the header
-fields and the outputs: exactly one EOS is allowed and it must be last;
-trailing bytes, out-of-range coordinates and text that is not UTF-8 are
-rejected with FormatError. Whether the outputs form a transcript the
-machine can replay is for ``generator.replay_outputs`` to decide; that replay
-is strict, keeps every recorded face and adjusts no answer.
+return its ``SequenceStats``. Each rule of a stream is checked in one place.
+``read_stream_answers`` checks the header and the bytes: bad magic, trailing
+bytes and text that is not UTF-8 are a FormatError. The record decoder
+checks each record: a text line that holds a line break, a malformed
+record and an out-of-range coordinate are a FormatError. Whether the
+outputs form a transcript the machine can replay, with one EOS as its last
+output, is for ``generator.replay_outputs`` to decide; that replay is
+strict, keeps every recorded face and adjusts no answer.
 
 Token stream (text): one JSON object per line, same information as binary.
     {"magic":"TMTS","bits":7,"order":"dfs"}
     {"op":"v","z":Z,"y":Y,"x":X} | {"op":"stop"} | {"op":"eos"}
-Lines end at "\\n" or "\\r\\n" only, and blank lines are skipped; any other
-character at which ``str.splitlines`` would break a line is an error in the
-line that holds it.
+The header is the first line: no byte-order mark or blank line comes before
+it. Lines end at "\\n" or "\\r\\n" only, and later blank lines are skipped;
+any other character at which ``str.splitlines`` would break a line is an
+error in the line that holds it.
 
 Both forms convert losslessly into each other. The pipe protocol for
 external predictors (``generator.PipePredictor``) answers with the same
@@ -33,7 +36,7 @@ output, and a grid has few distinct coordinates. So the text parser parses
 each distinct line once, in first-seen order, and maps every line through
 that table in one call; the binary parser converts each distinct 6
 coordinate bytes once and looks their repeats up. Both build vertex answers
-with ``tuple.__new__`` and count EOS records as they meet them.
+with ``tuple.__new__``.
 ``write_text_stream`` formats each distinct answer once, and
 ``write_obj`` each distinct grid coordinate and face index, then builds each
 section with one ``str.format`` call. A text record exactly as the writer
@@ -417,7 +420,6 @@ def _parse_stream_bytes(data: bytes) -> tuple[int, str, list[PredictorAnswer]]:
     answers: list[PredictorAnswer] = []
     append = answers.append
     vertices: dict[bytes, PredictorAnswer] = {}  # by their 6 coordinate bytes
-    n_eos = 0
     pos, end = 11, len(data)
     for _ in range(count):
         if pos >= end:
@@ -445,25 +447,19 @@ def _parse_stream_bytes(data: bytes) -> tuple[int, str, list[PredictorAnswer]]:
             pos += 1
         elif op == _OP_EOS:
             append(ANSWER_EOS)
-            n_eos += 1
             pos += 1
         else:
             raise FormatError(f"unknown opcode {op}", pos)
     if pos != end:
         raise FormatError(f"{end - pos} trailing bytes", pos)
-    _require_single_terminal_eos(answers, n_eos)
     return bits, order, answers
 
 
-def _require_single_terminal_eos(answers: list[PredictorAnswer], n_eos: int) -> None:
-    """FormatError unless the parser met one EOS, ``n_eos`` counting them, and
-    it is the last answer. The parsers give every EOS as ANSWER_EOS."""
-    if n_eos != 1 or answers[-1] is not ANSWER_EOS:
-        raise FormatError("stream must contain exactly one EOS, as its last record")
-
-
 def read_stream_answers(path: Union[str, Path]) -> tuple[int, str, list[PredictorAnswer]]:
-    """Header fields plus raw outputs, auto-detecting binary vs text form."""
+    """Header fields plus raw outputs, auto-detecting binary vs text form: a
+    file that starts with the magic is binary, one that starts with "{" is
+    text. The outputs are those the records hold; where EOS falls is left
+    to ``generator.replay_outputs``."""
     data = Path(path).read_bytes()
     if data[:4] == MAGIC:
         return _parse_stream_bytes(data)
@@ -484,7 +480,18 @@ def _answer_line(a: PredictorAnswer) -> str:
     return '{"op":"stop"}' if a.kind == STOP else '{"op":"eos"}'
 
 
+# A character other than "\n" at which ``str.splitlines`` breaks a line.
+# Text-stream lines end at "\n" or "\r\n" only, as do the pipe protocol's
+# lines; one of these inside a line is an error there.
+_LINE_BREAK = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _text_object(line: str, where: str) -> dict:
+    """The JSON object that ``line`` holds; FormatError, naming ``where``, if
+    the line holds a character of ``_LINE_BREAK`` or is not a JSON object."""
+    brk = _LINE_BREAK.search(line)
+    if brk:
+        raise FormatError(f"line break {brk.group()!r} inside {where}")
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
@@ -548,60 +555,42 @@ def _parse_answer(line: str, where: str, cells: int = 1 << 16) -> PredictorAnswe
     raise FormatError(f"unknown op {op!r} on {where}")
 
 
-# The characters other than "\n" at which ``str.splitlines`` breaks a line.
-# Text-stream lines end at "\n" or "\r\n" only, as ``readline`` reads the
-# pipe protocol's answers; one of these inside a line is an error there.
-_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
-    """Header fields plus outputs. A malformed line, or one that holds a
-    character of ``_LINE_BREAKS``, is a FormatError naming its line number
-    (counting blank lines); the first such line of the text is named.
+    """Header fields plus outputs. The header is line 1; a blank body line
+    is skipped, and any other line that is malformed, or holds a line break
+    (see ``_text_object``), is a FormatError naming its line number; the
+    first such line of the text is named.
 
     Each distinct body line is parsed once, in first-seen order, and every
     line is then looked up in that table. A bad line's number is looked up,
     as its first occurrence, only once it has failed."""
-    text = text.replace("\r\n", "\n")
-    lines = text.removesuffix("\n").split("\n")
-    broken = None  # the error of the first line that holds a line break
-    found = [at for at in map(text.find, _LINE_BREAKS) if at >= 0]
-    if found:
-        at = min(found)
-        n = text.count("\n", 0, at)  # the lines before it, which are read first
-        broken = FormatError(f"line break {text[at]!r} inside line {n + 1}")
-        del lines[n:]
-    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-    if start is None:
-        raise broken or FormatError("empty text stream")
-    header_line = start + 1
-    header = _text_object(lines[start], f"line {header_line}")
+    lines = text.replace("\r\n", "\n").removesuffix("\n").split("\n")
+    header = _text_object(lines[0], "line 1")
     if header.get("magic") != "TMTS":
-        raise FormatError(f"bad magic in text header on line {header_line}")
+        raise FormatError("bad magic in text header on line 1")
     bits = header.get("bits")
     if not valid_bits(bits):
-        raise FormatError(f"bits {bits!r} on line {header_line} is not an integer in [1, 16]")
+        raise FormatError(f"bits {bits!r} on line 1 is not an integer in [1, 16]")
     order = header.get("order")
     if order not in (DFS, BFS):
-        raise FormatError(f"unknown order {order!r} on line {header_line}")
+        raise FormatError(f"unknown order {order!r} on line 1")
     cells = 1 << bits
-    body = lines[header_line:]
+    body = lines[1:]
     table = dict.fromkeys(body)  # each distinct line -> its answer; None if blank
     try:
-        for line in filter(str.strip, table):
-            table[line] = _parse_answer(line, "", cells)
+        for line in table:
+            # A whitespace-only line that holds a line break is parsed, so
+            # that ``_text_object`` refuses it.
+            if line.strip() or _LINE_BREAK.search(line):
+                table[line] = _parse_answer(line, "", cells)
     except FormatError:
         # The first bad line of the text is the first occurrence of the
         # first distinct line that fails: parse it again, naming that line.
-        _parse_answer(line, f"line {header_line + 1 + body.index(line)}", cells)
+        _parse_answer(line, f"line {2 + body.index(line)}", cells)
         raise
-    if broken:
-        raise broken
     answers = list(map(table.__getitem__, body))
     if None in table.values():  # drop the blank lines
         answers = list(filter(None, answers))
-    eos_lines = [ln for ln, answer in table.items() if answer is ANSWER_EOS]
-    _require_single_terminal_eos(answers, sum(map(body.count, eos_lines)))
     return bits, order, answers
 
 

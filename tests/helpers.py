@@ -668,11 +668,12 @@ def reference_parse_stream_bytes(data: bytes) -> tuple[int, str, list[PredictorA
             raise FormatError(f"unknown opcode {op}", pos)
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes", pos)
-    _reference_require_single_terminal_eos(answers)
     return bits, order, answers
 
 
 def _reference_require_single_terminal_eos(answers: list[PredictorAnswer]) -> None:
+    """The rule the stream parsers applied before ``replay_outputs`` was left
+    to judge where EOS falls."""
     eos_positions = [i for i, a in enumerate(answers) if a.kind == EOS]
     if not answers or eos_positions != [len(answers) - 1]:
         raise FormatError("stream must contain exactly one EOS, as its last record")
@@ -686,41 +687,61 @@ def reference_dumps_text_stream(seq: TokenSequence) -> str:
     return "\n".join([header, *map(_answer_line, seq.outputs)]) + "\n"
 
 
+def unchecked_streams(seq: TokenSequence) -> tuple[bytes, bytes]:
+    """``seq`` as a binary and a text stream, each record formatted as the
+    writers format it but without their grammar walk, so that outputs no
+    machine ends and a header no reader accepts are written too."""
+    flags = {DFS: 0, BFS: 1}.get(seq.order, 2)
+    binary = bytearray(MAGIC + struct.pack("<BBBI", VERSION, seq.bits, flags, len(seq.outputs)))
+    for kind, v in seq.outputs:
+        if kind == VERTEX:
+            binary += struct.pack("<BHHH", _OP_VERTEX, v.z, v.y, v.x)
+        else:
+            binary.append(_OP_STOP if kind == STOP else _OP_EOS)
+    header = f'{{"magic":"TMTS","bits":{seq.bits},"order":"{seq.order}"}}'
+    text = "\n".join([header, *map(_answer_line, seq.outputs)]) + "\n"
+    return bytes(binary), text.encode("utf-8")
+
+
 # Every character but "\n" at which ``str.splitlines`` ends a line.
 _OTHER_LINE_BREAKS = frozenset("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 
+def reference_read_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
+    """``read_stream_answers`` on ``text`` in a UTF-8 file: text that does not
+    start with "{" is no text stream."""
+    if not text.startswith("{"):
+        raise FormatError("neither a binary nor a text token stream", 0)
+    return reference_parse_text_stream(text)
+
+
 def reference_parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
-    """Header fields plus outputs, line by line; the first malformed line is a
-    FormatError naming its line number (counting blank lines). A line ends at
-    "\\n", and a "\\r" just before it belongs to the line end; any other
-    line-break character is an error in its line."""
+    """Header fields plus outputs, line by line; the header is line 1, and the
+    first malformed line is a FormatError naming its line number (counting
+    blank lines). A line ends at "\\n", and a "\\r" just before it belongs
+    to the line end; any other line-break character is an error in its
+    line."""
     *ended, last = text.split("\n")
     rows = [row.removesuffix("\r") for row in ended] + ([last] if last else [])
-    header = None
     answers: list[PredictorAnswer] = []
     for i, row in enumerate(rows, 1):
         stray = [ch for ch in row if ch in _OTHER_LINE_BREAKS]
         if stray:
             raise FormatError(f"line break {stray[0]!r} inside line {i}")
-        if not row.strip():
+        if i > 1:
+            if row.strip():
+                answers.append(reference_parse_answer(row, f"line {i}", cells))
             continue
-        if header is not None:
-            answers.append(reference_parse_answer(row, f"line {i}", cells))
-            continue
-        header = _text_object(row, f"line {i}")
+        header = _text_object(row, "line 1")
         if header.get("magic") != "TMTS":
-            raise FormatError(f"bad magic in text header on line {i}")
+            raise FormatError("bad magic in text header on line 1")
         bits = header.get("bits")
         if type(bits) is not int or not valid_bits(bits):  # bool is not a bit count
-            raise FormatError(f"bits {bits!r} on line {i} is not an integer in [1, 16]")
+            raise FormatError(f"bits {bits!r} on line 1 is not an integer in [1, 16]")
         order = header.get("order")
         if order not in (DFS, BFS):
-            raise FormatError(f"unknown order {order!r} on line {i}")
+            raise FormatError(f"unknown order {order!r} on line 1")
         cells = 1 << bits
-    if header is None:
-        raise FormatError("empty text stream")
-    _reference_require_single_terminal_eos(answers)
     return bits, order, answers
 
 

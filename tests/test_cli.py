@@ -17,9 +17,9 @@ from meshtok.core import Face, MeshReal, QuantizedMesh, QuantizedVertex
 from meshtok.generator import DesyncError, decode
 from meshtok.preprocess import quantize
 from meshtok.procgen import tetrahedron, torus, two_component_scene
-from meshtok.sequencer import TokenSequence, answer_vertex, encode
+from meshtok.sequencer import ANSWER_EOS, TokenSequence, answer_vertex, encode
 from meshtok.streamio import read_obj, write_obj, write_stream, write_text_stream
-from helpers import canonical_faces
+from helpers import canonical_faces, unchecked_streams
 
 
 @pytest.fixture
@@ -444,6 +444,36 @@ def test_fuzz_rejects_unsupported_bits(capsys, bits):
     out = capsys.readouterr()
     assert out.out == ""
     assert f"argument --bits: must be an integer in [1, 16], got '{bits}'" in out.err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda outputs: outputs[:-1], "output stream has no terminal EOS"),
+        (lambda outputs: outputs + [ANSWER_EOS], "step 13: answer after the terminal EOS"),
+        (lambda outputs: outputs[:3] + [ANSWER_EOS] + outputs[3:], "step 3: eos answers EDGE"),
+    ],
+    ids=["missing", "repeated", "inside_a_component"],
+)
+def test_misplaced_eos_is_a_format_error(tmp_path, tetra, edit, message):
+    # The readers leave where EOS falls to replay: a fresh process exits 2
+    # with one error line and writes nothing, for either stream form.
+    seq = encode(tetra)
+    binary, text = unchecked_streams(TokenSequence(seq.bits, seq.order, edit(seq.outputs)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = tmp_path / "x.obj"
+    for stream, data in ((tmp_path / "s.tmts", binary), (tmp_path / "s.jsonl", text)):
+        stream.write_bytes(data)
+        for argv in (["detokenize", str(stream), "-o", str(out)], ["stats", str(stream)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "meshtok.cli", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+            assert not out.exists()
 
 
 def test_corrupt_stream_is_a_format_error(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import threading
 from unittest import mock
 
@@ -493,6 +494,30 @@ class TestPipeProtocol:
         monkeypatch.setattr(streamio.json, "loads", loads)
         assert [predictor(query) for _ in answers] == answers
         loads.assert_not_called()
+
+    def test_crlf_answers_read_like_lf_ones(self):
+        # A "\r" before the "\n" belongs to the line end, as in a text stream.
+        answers = [answer_vertex(QuantizedVertex(1, 2, 3)), ANSWER_STOP, ANSWER_STOP, ANSWER_EOS]
+        lines = [*map(answer_to_json, answers[:2]), '{"op": "stop"}', '{ "op":"eos" }']
+        predictor = PipePredictor(io.StringIO(), io.StringIO("".join(line + "\r\n" for line in lines)))
+        query = PredictorQuery(step=0, kind=SOS, component=0, stack_depth=0)
+        assert [predictor(query) for _ in answers] == answers
+
+    @pytest.mark.parametrize(
+        "parse, line, brk",
+        [
+            (answer_from_json, '{"op":\r"eos"}', "\r"),
+            (answer_from_json, '{"op":"v","z":1,"y":2,"x":3,"note":"a\u2028b"}', "\u2028"),
+            (answer_from_json, '{"op":"stop"}\x0c', "\x0c"),
+            (query_from_json, '{"step":0,"kind":"sos",\u2029"component":0,"stack_depth":0}', "\u2029"),
+        ],
+        ids=["answer_carriage_return", "answer_line_separator_in_a_string", "answer_form_feed", "query"],
+    )
+    def test_line_break_inside_a_line_is_a_format_error(self, parse, line, brk):
+        # The pipe's lines follow the text stream's line rule.
+        where = "answer line" if parse is answer_from_json else "query line"
+        with pytest.raises(FormatError, match=re.escape(f"line break {brk!r} inside {where}")):
+            parse(line)
 
     def test_blank_answer_is_a_format_error(self):
         predictor = PipePredictor(io.StringIO(), io.StringIO("\n"))

@@ -45,6 +45,7 @@ from meshtok.streamio import (
     _parse_stream_bytes,
     _parse_text_stream,
     read_obj,
+    read_stream_answers,
     write_obj,
     write_pointcloud,
     write_stream,
@@ -52,16 +53,19 @@ from meshtok.streamio import (
 )
 from helpers import (
     ReferenceMachine,
+    _reference_require_single_terminal_eos,
     reference_edge_run,
     reference_dumps_text_stream,
     reference_parse_answer,
     reference_parse_stream_bytes,
     reference_parse_text_stream,
+    reference_read_text_stream,
     reference_read_obj,
     reference_walk,
     reference_write_obj,
     reference_write_stream,
     reference_write_xyz,
+    unchecked_streams,
 )
 
 SETTINGS = settings(
@@ -525,10 +529,19 @@ def _text_streams(draw) -> str:
     return "".join(line + draw(_TEXT_ENDS) for line in lines)
 
 
+def _read_text(text: str):
+    """``read_stream_answers`` on ``text`` in a UTF-8 file, which also judges
+    what comes before the header."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        return read_stream_answers(path)
+
+
 @SETTINGS
 @given(_text_streams())
 def test_text_stream_parser_matches_reference(text):
-    assert _outcome(_parse_text_stream, text) == _outcome(reference_parse_text_stream, text)
+    assert _outcome(_read_text, text) == _outcome(reference_read_text_stream, text)
 
 
 @SETTINGS
@@ -577,15 +590,19 @@ def test_binary_stream_parser_matches_reference(data):
 
 
 def test_bad_record_after_a_good_copy_of_itself():
-    # A repeat is bad where its first copy was good: cut short, or a second EOS.
+    # A repeat is bad where its first copy was good: cut short, or a second
+    # EOS, which both parsers read and replay refuses.
     good = struct.pack("<BHHH", 0, 1, 2, 3)
     for n in range(1, 7):
         data = b"TMTS" + struct.pack("<BBBI", 1, 7, 0, 3) + good + b"\x01" + good[:n]
         new, ref = _outcome(_parse_stream_bytes, data), _outcome(reference_parse_stream_bytes, data)
         assert new == ref and new[0] == "error"
     text = '{"magic":"TMTS","bits":7,"order":"dfs"}\n{"op":"eos"}\n{"op":"eos"}\n'
-    new, ref = _outcome(_parse_text_stream, text), _outcome(reference_parse_text_stream, text)
-    assert new == ref and new[0] == "error"
+    new, ref = _outcome(_read_text, text), _outcome(reference_read_text_stream, text)
+    assert new == ref and new[0] == "ok"
+    bits, order, answers = new[1]
+    with pytest.raises(DesyncError, match="step 1: answer after the terminal EOS"):
+        replay_outputs(answers, bits, order)
 
 
 _HEADER = '{"magic":"TMTS","bits":7,"order":"dfs"}'
@@ -606,8 +623,8 @@ def _text(lines: list[str], end: str = "\n", final: Optional[str] = None) -> str
         (_text([_HEADER, _V1, '{"op":"v","z":1,"y":2}', _V2, '{"op":"v","z":1,"y":2}', '{"op":"eos"}']), "line 3"),
         (_text([_HEADER, *_FACE, '{"op":"halt"}', *_FACE, '{"op":"halt"}']), "line 8"),
         (_text([_HEADER, _V1, '{"op":"v","z":1,"y":2,"x":300}', _V1, '{"op":"v","z":1,"y":2,"x":300}']), "line 3"),
-        # Blank and whitespace-only lines between records, and before the header.
-        (_text(["", _HEADER, "", *_FACE[:3], "  ", "\t", *_FACE[3:], "", '{"op":"eos"}', "", ""]), None),
+        # Blank and whitespace-only lines between records and after them.
+        (_text([_HEADER, "", *_FACE[:3], "  ", "\t", *_FACE[3:], "", '{"op":"eos"}', "", ""]), None),
         (_text([_HEADER, "   ", "   ", "{oops", '{"op":"eos"}']), "line 4"),
         # CRLF line ends, and a text that ends without a line end.
         (_text([_HEADER, *_FACE, '{"op":"eos"}'], "\r\n"), None),
@@ -615,12 +632,13 @@ def _text(lines: list[str], end: str = "\n", final: Optional[str] = None) -> str
         # One record written with different spacing, as its first and later copy.
         (_text([_HEADER, _V1_SPACED, _V2, '{"op":"v","z":7,"y":8,"x":9}', _V1, *_FACE[3:], '{"op":"eos"}']), None),
         (_text([_HEADER, *_FACE[:2], _V1_SPACED, '{"op": "eos" }']), None),
-        (_text([_HEADER, '{"op": "eos" }', '{"op":"eos"}']), "exactly one EOS"),
-        # Other line breaks inside a line: only the lines before them are read.
+        (_text([_HEADER, '{"op": "eos" }', '{"op":"eos"}']), None),
+        # Other line breaks inside a line, and before the header, where the
+        # dispatcher refuses the text: the first bad line is named.
         (_text([_HEADER + "\x0c" + '{"op":"eos"}']), "inside line 1"),
         (_text([_HEADER, *_FACE[:5], '{"op":"stop"}\r{"op":"eos"}']), "inside line 7"),
         (_text([_HEADER, "{oops", _V1 + "\u2028" + _V2, '{"op":"eos"}']), "line 2"),
-        (_text(["\x85", _HEADER, '{"op":"eos"}']), "inside line 1"),
+        (_text(["\x85", _HEADER, '{"op":"eos"}']), "neither a binary nor a text token stream"),
     ],
     ids=[
         "repeated_missing_coordinate",
@@ -640,7 +658,7 @@ def _text(lines: list[str], end: str = "\n", final: Optional[str] = None) -> str
     ],
 )
 def test_text_stream_layouts_match_reference(text, named):
-    new, ref = _outcome(_parse_text_stream, text), _outcome(reference_parse_text_stream, text)
+    new, ref = _outcome(_read_text, text), _outcome(reference_read_text_stream, text)
     assert new == ref
     if named is None:
         assert new[0] == "ok"
@@ -776,6 +794,41 @@ def test_walk_refuses_only_what_replay_refuses(seq):
         ), replay
     else:
         assert replay == walk
+
+
+_EOS_RULE = "stream must contain exactly one EOS, as its last record"
+
+
+@SETTINGS
+@given(_sequences(tuple(_ANSWERS[:6])))  # the answers a stream can hold
+def test_replay_refuses_what_the_parsers_eos_rule_refused(seq):
+    # The parsers leave where EOS falls to replay. Reading then replaying
+    # refuses every stream that the reference parsers, with their EOS rule,
+    # and replay refused, with the same error unless the EOS rule gave it,
+    # and reads the same mesh from every other.
+    def replayed(bits, order, answers):
+        return _run_result(replay_outputs(answers, bits, order))
+
+    def reference_read(parse, data):
+        bits, order, answers = parse(data)
+        _reference_require_single_terminal_eos(answers)
+        return bits, order, answers
+
+    binary, text = unchecked_streams(seq)
+    streams = [
+        (binary, reference_parse_stream_bytes),
+        (text, lambda data: reference_parse_text_stream(data.decode("utf-8"))),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s"
+        for data, parse in streams:
+            path.write_bytes(data)
+            new = _outcome(lambda: replayed(*read_stream_answers(path)))
+            ref = _outcome(lambda: replayed(*reference_read(parse, data)))
+            if ref[0] == "error" and ref[2] == _EOS_RULE:
+                assert new[0] == "error" and new[1] in (DesyncError, IllegalAnswerError), new
+            else:
+                assert new == ref
 
 
 def _written(write, obj, path: Path):

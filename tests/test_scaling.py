@@ -128,22 +128,29 @@ def test_text_stream_reader_is_linear_in_distinct_vertices(tmp_path):
 
 
 def test_text_stream_reader_error_path_is_linear(tmp_path):
-    # The same streams with a malformed last line: the reader looks up where
-    # the bad line first occurs only once it fails.
+    # The same streams with a malformed last line, and with a stray form feed
+    # in it: the reader looks up where the bad line first occurs only once
+    # it fails, and the line rule runs on that per-line path.
     paths = [tmp_path / "s1.jsonl", tmp_path / "s4.jsonl"]
+    streams = []
     for path, count in zip(paths, (500, 2000)):  # 2,000 and 8,000 distinct vertex lines
         write_text_stream(encode(_tetrahedra(count)), path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join([*lines[:-1], '{"op":"v","z":1,"y":2}']) + "\n")
+        streams.append(path.read_text().splitlines())
 
-    def fails(path, line: int) -> None:
-        with pytest.raises(FormatError, match=f"vertex on line {line} needs"):
+    def fails(path, match: str) -> None:
+        with pytest.raises(FormatError, match=match):
             read_stream_answers(path)
 
-    n_lines = [len(path.read_text().splitlines()) for path in paths]
-    t_small, t_large = _best_times(*(lambda p=p, n=n: fails(p, n) for p, n in zip(paths, n_lines)), repeats=9)
-    assert t_large < 0.5
-    assert t_large / t_small <= 8.0
+    for last, match in [
+        ('{"op":"v","z":1,"y":2}', "vertex on line {} needs"),
+        ('{"op":\x0c"eos"}', r"line break '\\x0c' inside line {}"),
+    ]:
+        for path, lines in zip(paths, streams):
+            path.write_text("\n".join([*lines[:-1], last]) + "\n")
+        calls = [lambda p=p, n=len(lines): fails(p, match.format(n)) for p, lines in zip(paths, streams)]
+        t_small, t_large = _best_times(*calls, repeats=9)
+        assert t_large < 0.5
+        assert t_large / t_small <= 8.0
 
 
 def _tetrahedra_outputs(count: int) -> list[PredictorAnswer]:

@@ -223,9 +223,19 @@ class TestBinaryStream:
         self._expect_error(tmp_path, bytes(data))
 
     def test_missing_eos_rejected(self, triangle, tmp_path):
+        # The file parses; replay, which judges where EOS falls, refuses it.
         data = bytearray(self._valid_bytes(triangle, tmp_path))
+        path = tmp_path / "bad.tmts"
         data[-1] = 1  # EOS opcode overwritten with STOP
-        self._expect_error(tmp_path, bytes(data))
+        path.write_bytes(bytes(data))
+        bits, order, answers = read_stream_answers(path)
+        with pytest.raises(IllegalAnswerError, match="stop answers SOS"):
+            replay_outputs(answers, bits, order)
+        struct.pack_into("<I", data, 7, len(answers) - 1)
+        path.write_bytes(bytes(data[:-1]))  # the EOS cut, and counted out
+        bits, order, answers = read_stream_answers(path)
+        with pytest.raises(DesyncError, match="output stream has no terminal EOS"):
+            replay_outputs(answers, bits, order)
 
     def test_structurally_impossible_stream_rejected(self, tmp_path):
         # STOP cannot answer the opening query: the file parses, replay refuses.
