@@ -23,17 +23,19 @@ measured. The search returns the same faces and distances as measuring
 every (point, face) pair, with the same tie rule, in memory bounded by a
 fixed number of pairs per block. It stays n log n when face sizes are mixed,
 but not when the two meshes lie far apart: then ``ub`` is large, every ball
-holds most faces, and each point measures them all. The region walk that
-measures one pair is Ericson, *Real-Time Collision Detection* (2004),
-section 5.1.5.
+holds most faces, and each point measures them all.
+
+One (point, face) pair is measured with no branch on the face's shape:
+the distance to its plane where the point projects inside the face, else
+to its nearest edge. Near-flat faces are measured as exactly as others.
 
 ``chamfer`` queries each sample set against the other's KD-tree in the
 order of its own tree, so that points near each other are queried one
 after another; the mean is taken in input order, so the value does not
 depend on the query order.
 
-Coordinates so large (beyond about 1e77) that a face area, normal or search
-radius overflows raise ``EmptySurfaceError`` instead of giving an answer.
+Coordinates so large (beyond about 3e76) that a face area, a normal or a
+distance overflows raise ``EmptySurfaceError`` instead of giving an answer.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ _TIE_EPS = 1e-12
 _PAIR_BUDGET = 1 << 15  # (point, face) pairs measured at once
 _NEAREST_K = 16  # centroids each point asks every class tree for at once
 _REACH_CLASSES = 16  # classes of face reach; the last takes every smaller reach
-_RADIUS_OVERFLOW = "coordinates too large: a search radius overflows"
 
 
 class EmptySurfaceError(ValueError):
@@ -136,139 +137,62 @@ def _mean_nearest(pts: np.ndarray, own, other) -> float:
     return float(dist.mean())
 
 
-def _point_segment_distance(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> float:
-    d = s1 - s0
-    denom = float(np.dot(d, d))
-    t = 0.0 if denom == 0.0 else float(np.clip(np.dot(p - s0, d) / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (s0 + t * d)))
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("...k,...k->...", x, y)
 
 
-def _edge_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    return min(
-        _point_segment_distance(p, a, b),
-        _point_segment_distance(p, b, c),
-        _point_segment_distance(p, c, a),
-    )
+def _check_coordinates(*coords: np.ndarray) -> None:
+    """EmptySurfaceError unless every product that ``_triangle_distances``
+    forms from these coordinates, all within (4 * largest) ** 4, is finite."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite((4.0 * np.max([np.abs(x).max() for x in coords])) ** 4):
+            raise EmptySurfaceError("coordinates too large: a distance overflows")
 
 
 def point_to_triangle_distance(p, tri) -> float:
-    """Exact distance from a point to a closed triangle (face, edge, or
-    vertex region, following the standard closest-point region walk); a
-    zero-area triangle is measured by its edges."""
-    p = np.asarray(p, dtype=np.float64)
-    tri = np.asarray(tri, dtype=np.float64).reshape(3, 3)
-    a, b, c = tri
-    ab = b - a
-    ac = c - a
-    if not np.cross(ab, ac).any():  # zero area: the triangle is its edges
-        return _edge_distance(p, a, b, c)
-    ap = p - a
-    d1 = float(np.dot(ab, ap))
-    d2 = float(np.dot(ac, ap))
-    if d1 <= 0.0 and d2 <= 0.0:
-        return float(np.linalg.norm(p - a))
-    bp = p - b
-    d3 = float(np.dot(ab, bp))
-    d4 = float(np.dot(ac, bp))
-    if d3 >= 0.0 and d4 <= d3:
-        return float(np.linalg.norm(p - b))
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
-        t = d1 / (d1 - d3)
-        return float(np.linalg.norm(p - (a + t * ab)))
-    cp = p - c
-    d5 = float(np.dot(ab, cp))
-    d6 = float(np.dot(ac, cp))
-    if d6 >= 0.0 and d5 <= d6:
-        return float(np.linalg.norm(p - c))
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
-        t = d2 / (d2 - d6)
-        return float(np.linalg.norm(p - (a + t * ac)))
-    va = d3 * d6 - d5 * d4
-    if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
-        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return float(np.linalg.norm(p - (b + t * (c - b))))
-    denom = va + vb + vc
-    if denom <= 0.0:  # rounding left no area: fall back to the edges
-        return _edge_distance(p, a, b, c)
-    v = vb / denom
-    w = vc / denom
-    return float(np.linalg.norm(p - (a + v * ab + w * ac)))
+    """Exact distance from a point to a closed triangle: to its plane where
+    the point projects inside it, else to its nearest edge (one row of
+    ``_triangle_distances``); EmptySurfaceError beyond about 3e76."""
+    p, tri = np.asarray(p, dtype=np.float64), np.asarray(tri, dtype=np.float64).reshape(3, 3)
+    _check_coordinates(p, tri)
+    return float(_triangle_distances(p, *tri))
 
 
 def _triangle_distances(
     p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
     """Exact distance from each point ``p[i]`` to the closed triangle
-    ``(a[i], b[i], c[i])``; the row-wise form of ``point_to_triangle_distance``.
-    Rows are the leading axes of (..., 3) arrays and broadcast, so points
-    (n, 1, 3) against triangles (m, 3) give the (n, m) grid. A zero-area
-    triangle (cross product exactly zero) is measured by its edges."""
-    ab = b - a
-    ac = c - a
-    (x0, x1, x2), (y0, y1, y2) = np.moveaxis(ab, -1, 0), np.moveaxis(ac, -1, 0)
-    flat = (x1 * y2 - x2 * y1 == 0.0) & (x2 * y0 - x0 * y2 == 0.0) & (x0 * y1 - x1 * y0 == 0.0)
-    ap = p - a
-    bp = p - b
-    cp = p - c
-    d1 = np.einsum("...k,...k->...", ab, ap)
-    d2 = np.einsum("...k,...k->...", ac, ap)
-    d3 = np.einsum("...k,...k->...", ab, bp)
-    d4 = np.einsum("...k,...k->...", ac, bp)
-    d5 = np.einsum("...k,...k->...", ab, cp)
-    d6 = np.einsum("...k,...k->...", ac, cp)
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d5 * d4
+    ``(a[i], b[i], c[i])``; rows broadcast over the leading axes of (..., 3)
+    arrays, so points (n, 1, 3) against triangles (m, 3) give an (n, m) grid.
 
-    r1 = (d1 <= 0.0) & (d2 <= 0.0)
-    taken = r1.copy()
-    r2 = ~taken & (d3 >= 0.0) & (d4 <= d3)
-    taken |= r2
-    r3 = ~taken & (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0)
-    taken |= r3
-    r4 = ~taken & (d6 >= 0.0) & (d5 <= d6)
-    taken |= r4
-    r5 = ~taken & (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0)
-    taken |= r5
-    r6 = ~taken & (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)
-    taken |= r6
-    r0 = ~taken
-
+    It is the distance to the nearest edge (the point's projection on each
+    segment, clamped to its ends), or, where ``n = (b - a) x (c - a)`` is not
+    zero and ``((s1 - s0) x (p - s0)) . n >= 0`` on every edge ``s0 -> s1``,
+    the distance ``|(p - s) . n| / |n|`` to the plane. The rounded normal of
+    a near-flat triangle can turn far, so ``s`` is the nearest edge point,
+    which keeps ``p - s`` short, and the plane distance is clipped to within
+    the inradius ``|n| / perimeter`` of the edge distance: every point of a
+    triangle lies that close to an edge."""
+    n = np.cross(b - a, c - a)
+    nn = _dot(n, n)
+    inside = nn > 0.0
+    d2 = np.inf
+    h = perimeter = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        t3 = np.where(r3, d1 / np.where(d1 - d3 != 0.0, d1 - d3, 1.0), 0.0)
-        t5 = np.where(r5, d2 / np.where(d2 - d6 != 0.0, d2 - d6, 1.0), 0.0)
-        den6 = (d4 - d3) + (d5 - d6)
-        t6 = np.where(r6, (d4 - d3) / np.where(den6 != 0.0, den6, 1.0), 0.0)
-        den0 = va + vb + vc
-        safe0 = np.where(den0 != 0.0, den0, 1.0)
-        v0 = np.where(r0, vb / safe0, 0.0)
-        w0 = np.where(r0, vc / safe0, 0.0)
-
-    closest = a + v0[..., None] * ab + w0[..., None] * ac
-    closest = np.where(r6[..., None], b + t6[..., None] * (c - b), closest)
-    closest = np.where(r5[..., None], a + t5[..., None] * ac, closest)
-    closest = np.where(r4[..., None], c, closest)
-    closest = np.where(r3[..., None], a + t3[..., None] * ab, closest)
-    closest = np.where(r2[..., None], b, closest)
-    closest = np.where(r1[..., None], a, closest)
-    dist = np.linalg.norm(p - closest, axis=-1)
-    if flat.any():
-        rows = np.broadcast_to(flat, dist.shape)
-        p, a, b, c = (np.broadcast_to(x, dist.shape + (3,))[rows] for x in (p, a, b, c))
-        edges = ((a, b), (b, c), (c, a))
-        dist[rows] = np.minimum.reduce([_segment_distances(p, s0, s1) for s0, s1 in edges])
-    return dist
-
-
-def _segment_distances(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Row-wise ``_point_segment_distance`` over (k, 3) arrays."""
-    d = s1 - s0
-    denom = np.einsum("ij,ij->i", d, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(denom == 0.0, 0.0, np.clip(np.einsum("ij,ij->i", p - s0, d) / denom, 0.0, 1.0))
-    return np.linalg.norm(p - (s0 + t[:, None] * d), axis=1)
+        for s0, s1 in ((a, b), (b, c), (c, a)):
+            e = s1 - s0
+            q = p - s0
+            ee = _dot(e, e)
+            perimeter = perimeter + np.sqrt(ee)
+            t = np.where(ee > 0.0, np.clip(_dot(q, e) / ee, 0.0, 1.0), 0.0)
+            r = q - t[..., None] * e
+            rr = _dot(r, r)
+            h = np.where(rr < d2, _dot(r, n), h)
+            d2 = np.minimum(d2, rr)
+            inside = inside & (_dot(q, np.cross(n, e)) >= 0.0)
+        plane = np.clip(h * (h / nn), d2 - nn / (perimeter * perimeter), d2)
+        d2 = np.where(inside, plane, d2)
+    return np.sqrt(d2)
 
 
 def _blocks(sizes: np.ndarray):
@@ -336,6 +260,9 @@ def closest_faces(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarra
     Points are searched in runs whose k-nearest arrays hold about
     _PAIR_BUDGET entries, and measured in blocks of at most _PAIR_BUDGET
     pairs, which bounds memory.
+
+    A pair is measured by ``_triangle_distances``: the plane distance where
+    the point projects inside the face, else the nearest edge's.
     """
     n = len(points)
     dists = np.empty(n, dtype=np.float64)
@@ -344,13 +271,11 @@ def closest_faces(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarra
         return dists, idxs
     from scipy.spatial import cKDTree
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        centroids = (a + b + c) / 3.0
-        reach = np.maximum.reduce([np.linalg.norm(v - centroids, axis=1) for v in (a, b, c)])
-        # Distances carry rounding errors relative to the size of the coordinates.
-        slack = _TIE_EPS + 1e-9 * (float(np.abs(points).max()) + float(np.abs(centroids).max()) + float(reach.max()))
-    if not np.isfinite(slack):
-        raise EmptySurfaceError(_RADIUS_OVERFLOW)
+    _check_coordinates(points, a, b, c)  # so no distance or search radius below overflows
+    centroids = (a + b + c) / 3.0
+    reach = np.maximum.reduce([np.linalg.norm(v - centroids, axis=1) for v in (a, b, c)])
+    # Distances carry rounding errors relative to the size of the coordinates.
+    slack = _TIE_EPS + 1e-9 * (float(np.abs(points).max()) + float(np.abs(centroids).max()) + float(reach.max()))
     classes = [
         (members, cKDTree(centroids[members]), float(reach[members].max()))
         for members in _reach_classes(reach)
@@ -380,19 +305,14 @@ def _search(
     for members, tree, _ in classes:
         k = min(_NEAREST_K, len(members))
         near_dist, near = (x.reshape(n, k) for x in tree.query(points, k=k, workers=1))
-        if not np.isfinite(near_dist[:, 0]).all():
-            raise EmptySurfaceError(_RADIUS_OVERFLOW)
         nearest = members[near[:, 0]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            ub = np.minimum(ub, _triangle_distances(points, a[nearest], b[nearest], c[nearest]))
+        ub = np.minimum(ub, _triangle_distances(points, a[nearest], b[nearest], c[nearest]))
         queried.append((near_dist, members[near]))
 
     sizes = np.zeros(n, dtype=np.int64)
     parts = []
     for (members, tree, top), (near_dist, near) in zip(classes, queried):
         radii = ub + top + slack
-        if not np.isfinite(radii).all():
-            raise EmptySurfaceError(_RADIUS_OVERFLOW)
         # A found face is measured only if its own reach can bring it to ub.
         found = near_dist <= (ub + slack)[:, None] + reach[near]
         ball = np.zeros(n, dtype=np.int64)

@@ -5,9 +5,12 @@ union-find over shared edges, validation via a standalone directed-edge scan,
 half-edge connectivity via the face-order dict loop that preceded the sort,
 step records via the index-based traversal that ``encode`` runs, without the
 decoder's position-keyed machine,
-normal consistency via scalar all-pairs loops, point-to-triangle distance
-via dense sampling on a barycentric lattice, Chamfer distance via queries
-in input order, nearest faces via a search over every (point, face) pair,
+normal consistency via scalar all-pairs loops over the region walk that
+the point-to-triangle kernel replaced, point-to-triangle distance via dense
+sampling on a barycentric lattice and via exact rational arithmetic,
+Chamfer distance via queries in input order, nearest faces via the
+library's distance kernel on every (point, face) pair, which checks only the
+pruning and the tie rule,
 quantization and silhouette masks via the per-vertex and per-triangle
 loops that the vectorized versions replaced,
 silhouette cluster counts via ``scipy.ndimage.label``, file reading
@@ -25,6 +28,7 @@ import math
 import random
 import struct
 from collections import Counter, deque
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
@@ -71,7 +75,7 @@ from meshtok.generator import (
     fuzz_predictor,
 )
 from meshtok.halfedge import HalfEdgeConnectivity
-from meshtok.metrics import point_to_triangle_distance
+from meshtok.metrics import _triangle_distances
 from meshtok.preprocess import OutOfRangeError
 from meshtok.streamio import (
     MAGIC,
@@ -247,6 +251,108 @@ def union_find_components(mesh: QuantizedMesh) -> list[frozenset[int]]:
     return [frozenset(g) for g in groups.values()]
 
 
+# The region walk (Ericson, *Real-Time Collision Detection*, 2004, section
+# 5.1.5) that ``metrics.point_to_triangle_distance`` replaced. It picks the
+# wrong region on near-flat triangles, so it is compared with the kernel on
+# well-shaped ones only; the normal-consistency oracle below uses it, so that
+# oracle shares no code with the kernel.
+
+def _reference_segment_distance(p: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> float:
+    d = s1 - s0
+    denom = float(np.dot(d, d))
+    t = 0.0 if denom == 0.0 else float(np.clip(np.dot(p - s0, d) / denom, 0.0, 1.0))
+    return float(np.linalg.norm(p - (s0 + t * d)))
+
+
+def _reference_edge_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    return min(
+        _reference_segment_distance(p, a, b),
+        _reference_segment_distance(p, b, c),
+        _reference_segment_distance(p, c, a),
+    )
+
+
+def reference_point_to_triangle_distance(p, tri) -> float:
+    """Exact distance from a point to a closed triangle (face, edge, or
+    vertex region, following the standard closest-point region walk); a
+    zero-area triangle is measured by its edges."""
+    p = np.asarray(p, dtype=np.float64)
+    tri = np.asarray(tri, dtype=np.float64).reshape(3, 3)
+    a, b, c = tri
+    ab = b - a
+    ac = c - a
+    if not np.cross(ab, ac).any():  # zero area: the triangle is its edges
+        return _reference_edge_distance(p, a, b, c)
+    ap = p - a
+    d1 = float(np.dot(ab, ap))
+    d2 = float(np.dot(ac, ap))
+    if d1 <= 0.0 and d2 <= 0.0:
+        return float(np.linalg.norm(p - a))
+    bp = p - b
+    d3 = float(np.dot(ab, bp))
+    d4 = float(np.dot(ac, bp))
+    if d3 >= 0.0 and d4 <= d3:
+        return float(np.linalg.norm(p - b))
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
+        t = d1 / (d1 - d3)
+        return float(np.linalg.norm(p - (a + t * ab)))
+    cp = p - c
+    d5 = float(np.dot(ab, cp))
+    d6 = float(np.dot(ac, cp))
+    if d6 >= 0.0 and d5 <= d6:
+        return float(np.linalg.norm(p - c))
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
+        t = d2 / (d2 - d6)
+        return float(np.linalg.norm(p - (a + t * ac)))
+    va = d3 * d6 - d5 * d4
+    if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
+        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        return float(np.linalg.norm(p - (b + t * (c - b))))
+    denom = va + vb + vc
+    if denom <= 0.0:  # rounding left no area: fall back to the edges
+        return _reference_edge_distance(p, a, b, c)
+    v = vb / denom
+    w = vc / denom
+    return float(np.linalg.norm(p - (a + v * ab + w * ac)))
+
+
+def exact_point_to_triangle_distance(p, tri) -> float:
+    """Distance from a point to a closed triangle in exact rational
+    arithmetic, rounded once at the end: the smallest distance to the three
+    segments and, where the exact barycentrics of the point's projection
+    all lie in [0, 1], the distance to the plane."""
+    p = [Fraction(float(x)) for x in np.asarray(p, dtype=np.float64)]
+    a, b, c = ([Fraction(float(x)) for x in corner] for corner in np.asarray(tri, dtype=np.float64).reshape(3, 3))
+
+    def sub(x, y):
+        return [xi - yi for xi, yi in zip(x, y)]
+
+    def dot(x, y):
+        return sum(xi * yi for xi, yi in zip(x, y))
+
+    def cross(x, y):
+        return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+
+    squares = []
+    for s0, s1 in ((a, b), (b, c), (c, a)):
+        e, q = sub(s1, s0), sub(p, s0)
+        ee = dot(e, e)
+        t = min(max(dot(q, e) / ee, Fraction(0)), Fraction(1)) if ee else Fraction(0)
+        r = [qi - t * ei for qi, ei in zip(q, e)]
+        squares.append(dot(r, r))
+    n = cross(sub(b, a), sub(c, a))
+    nn = dot(n, n)
+    if nn:
+        # The barycentric weight of each corner is the signed area, over n,
+        # of the triangle that the projection makes with the opposite edge.
+        weights = [dot(cross(sub(s1, s0), sub(p, s0)), n) / nn for s0, s1 in ((b, c), (c, a), (a, b))]
+        if all(w >= 0 for w in weights):
+            squares.append(dot(sub(p, a), n) ** 2 / nn)
+    return math.sqrt(min(squares))
+
+
 def brute_force_similarities(src: MeshReal, ref: MeshReal) -> tuple[list[float], list[float]]:
     """All-pairs scalar oracle for the normal cosines of both directions
     (src faces against their nearest ref face, then the reverse), built
@@ -270,7 +376,7 @@ def brute_force_similarities(src: MeshReal, ref: MeshReal) -> tuple[list[float],
         ref_t, ref_n, _ = ref_geo
         sims = []
         for n, c in zip(src_n, src_c):
-            ds = [point_to_triangle_distance(c, np.vstack(tri)) for tri in ref_t]
+            ds = [reference_point_to_triangle_distance(c, np.vstack(tri)) for tri in ref_t]
             dmin = min(ds)
             best_j = next(j for j, d in enumerate(ds) if d <= dmin + 1e-12)
             sims.append(float(np.dot(n, ref_n[best_j])))
@@ -335,8 +441,8 @@ def reference_chamfer(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
 
 
 # The dense nearest-face search that ``metrics.closest_faces`` replaced: every
-# (point, face) pair, chunked. The pruned search must return the same faces
-# and the same distances.
+# (point, face) pair, chunked, measured by the same kernel. The pruned search
+# must return the same faces and the same distances.
 
 TIE_EPS = 1e-12
 
@@ -344,82 +450,16 @@ TIE_EPS = 1e-12
 def dense_closest_triangles_chunk(
     p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized closest-point distances from points (n,3) to triangles
-    (m,3); returns per-point (min distance, argmin index). A zero-area
-    triangle is measured by its edges, as ``point_to_triangle_distance``
-    does."""
-    ab = b - a
-    ac = c - a
-    ap = p[:, None, :] - a[None, :, :]
-    bp = p[:, None, :] - b[None, :, :]
-    cp = p[:, None, :] - c[None, :, :]
-    d1 = np.einsum("mk,nmk->nm", ab, ap)
-    d2 = np.einsum("mk,nmk->nm", ac, ap)
-    d3 = np.einsum("mk,nmk->nm", ab, bp)
-    d4 = np.einsum("mk,nmk->nm", ac, bp)
-    d5 = np.einsum("mk,nmk->nm", ab, cp)
-    d6 = np.einsum("mk,nmk->nm", ac, cp)
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d5 * d4
-
-    r1 = (d1 <= 0.0) & (d2 <= 0.0)
-    taken = r1.copy()
-    r2 = ~taken & (d3 >= 0.0) & (d4 <= d3)
-    taken |= r2
-    r3 = ~taken & (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0)
-    taken |= r3
-    r4 = ~taken & (d6 >= 0.0) & (d5 <= d6)
-    taken |= r4
-    r5 = ~taken & (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0)
-    taken |= r5
-    r6 = ~taken & (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)
-    taken |= r6
-    r0 = ~taken
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t3 = np.where(r3, d1 / np.where(d1 - d3 != 0.0, d1 - d3, 1.0), 0.0)
-        t5 = np.where(r5, d2 / np.where(d2 - d6 != 0.0, d2 - d6, 1.0), 0.0)
-        den6 = (d4 - d3) + (d5 - d6)
-        t6 = np.where(r6, (d4 - d3) / np.where(den6 != 0.0, den6, 1.0), 0.0)
-        den0 = va + vb + vc
-        safe0 = np.where(den0 != 0.0, den0, 1.0)
-        v0 = np.where(r0, vb / safe0, 0.0)
-        w0 = np.where(r0, vc / safe0, 0.0)
-
-    closest = a[None, :, :] + v0[..., None] * ab[None, :, :] + w0[..., None] * ac[None, :, :]
-    closest = np.where(r6[..., None], b[None, :, :] + t6[..., None] * (c - b)[None, :, :], closest)
-    closest = np.where(r5[..., None], a[None, :, :] + t5[..., None] * ac[None, :, :], closest)
-    closest = np.where(r4[..., None], np.broadcast_to(c[None, :, :], closest.shape), closest)
-    closest = np.where(r3[..., None], a[None, :, :] + t3[..., None] * ab[None, :, :], closest)
-    closest = np.where(r2[..., None], np.broadcast_to(b[None, :, :], closest.shape), closest)
-    closest = np.where(r1[..., None], np.broadcast_to(a[None, :, :], closest.shape), closest)
-
-    dist = np.linalg.norm(p[:, None, :] - closest, axis=2)
-    # A zero-area triangle (cross product exactly zero) is its three edges.
-    flat = ~np.cross(ab, ac).any(axis=1)
-    if flat.any():
-        q = p[:, None, :]
-        a, b, c = a[flat], b[flat], c[flat]
-        edges = ((a, b), (b, c), (c, a))
-        dist[:, flat] = np.minimum.reduce([_dense_segment_distances(q, s0, s1) for s0, s1 in edges])
+    """Distances from points (n,3) to triangles (m,3), measured as an (n, m)
+    grid by the library's kernel; returns per-point (min distance, argmin
+    index)."""
+    dist = _triangle_distances(p[:, None, :], a, b, c)
     # Ties (coincident faces, shared closest edges) go to the lowest face
     # index; the window absorbs accumulation-order noise between equally
     # distant faces.
     dmin = dist.min(axis=1)
     idx = np.argmax(dist <= (dmin + TIE_EPS)[:, None], axis=1)
     return dist[np.arange(len(p)), idx], idx
-
-
-def _dense_segment_distances(q: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Distances from points (n, 1, 3) to segments (k, 3), as (n, k); a
-    zero-length segment is its point."""
-    d = s1 - s0
-    denom = np.einsum("kj,kj->k", d, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip(np.einsum("nkj,kj->nk", q - s0, d) / denom, 0.0, 1.0)
-    t = np.where(denom == 0.0, 0.0, t)
-    return np.linalg.norm(q - (s0 + t[..., None] * d), axis=2)
 
 
 def dense_closest_faces(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -747,9 +787,18 @@ def reference_parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnsw
 
 def reference_parse_answer(line: str, where: str, cells: int = 1 << 16) -> PredictorAnswer:
     """One text-stream record, every line through the JSON decoder;
-    FormatError, naming ``where``, unless it is a STOP, an EOS or a vertex
-    with integer coordinates in [0, cells)."""
-    obj = _text_object(line, where)
+    FormatError, naming ``where``, on a line-break character inside the line
+    and unless it is a STOP, an EOS or a vertex with integer coordinates in
+    [0, cells)."""
+    stray = [ch for ch in line if ch in _OTHER_LINE_BREAKS]
+    if stray:
+        raise FormatError(f"line break {stray[0]!r} inside {where}")
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"bad JSON on {where}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where} is not a JSON object")
     op = obj.get("op")
     if op == "v":
         x, y, z = xyz = obj.get("x"), obj.get("y"), obj.get("z")

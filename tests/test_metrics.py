@@ -10,6 +10,7 @@ from meshtok.metrics import (
     EmptySurfaceError,
     _face_geometry,
     _triangle_corners,
+    _triangle_distances,
     chamfer,
     closest_faces,
     evaluate,
@@ -25,8 +26,10 @@ from helpers import (
     brute_force_similarities,
     dense_closest_faces,
     dense_sample_distance,
+    exact_point_to_triangle_distance,
     random_triangle_soup,
     reference_chamfer,
+    reference_point_to_triangle_distance,
 )
 
 UNIT_RIGHT = MeshReal(
@@ -165,6 +168,8 @@ class TestPointToTriangle:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
     def test_scalar_and_batch_agree(self, seed):
+        # On well-shaped triangles the region walk that the kernel replaced
+        # is exact, so both forms of the kernel must agree with it.
         rng = np.random.default_rng(seed)
         tri = rng.uniform(-1, 1, size=(3, 3))
         if 0.5 * np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0])) < 1e-6:
@@ -172,7 +177,31 @@ class TestPointToTriangle:
         pts = rng.uniform(-2, 2, size=(8, 3))
         d_batch, _ = closest_faces(pts, tri[None, 0], tri[None, 1], tri[None, 2])
         for p, d in zip(pts, d_batch):
-            assert point_to_triangle_distance(p, tri) == pytest.approx(d, abs=1e-12)
+            want = reference_point_to_triangle_distance(p, tri)
+            assert d == pytest.approx(want, abs=1e-12)
+            assert point_to_triangle_distance(p, tri) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0**-30, 1.0, 2.0**30])
+    def test_matches_the_exact_oracle(self, scale):
+        # Within 1e-14 of the coordinates' size of the exact rational
+        # distance, on every family, near-flat triangles included.
+        rng = np.random.default_rng(2027)
+        cases = [_oracle_case(rng, family) for family in _ORACLE_FAMILIES for _ in range(60)]
+        pts = scale * np.array([p for p, _ in cases])
+        tris = scale * np.array([tri for _, tri in cases])
+        batch = _triangle_distances(pts, tris[:, 0], tris[:, 1], tris[:, 2])
+        for p, tri, d in zip(pts, tris, batch):
+            bound = 1e-14 * max(np.abs(p).max(), np.abs(tri).max())
+            exact = exact_point_to_triangle_distance(p, tri)
+            assert abs(d - exact) <= bound
+            assert point_to_triangle_distance(p, tri) == d
+
+    @pytest.mark.parametrize("scale", [1e77, 1e160])
+    def test_overflowing_coordinates_raise(self, scale):
+        # Products of four coordinate differences would overflow; no answer,
+        # not even nan, comes back.
+        with pytest.raises(EmptySurfaceError, match="a distance overflows"):
+            point_to_triangle_distance(np.array([0.2, 0.2, 0.7]) * scale, TRI * scale)
 
     def test_against_dense_sampling_oracle(self):
         rng = np.random.default_rng(2024)
@@ -188,6 +217,56 @@ class TestPointToTriangle:
                 continue
             assert point_to_triangle_distance(p, tri) == pytest.approx(oracle, abs=1e-4)
             checked += 1
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+def _sliver(rng) -> tuple[np.ndarray, np.ndarray]:
+    """A triangle whose apex lies 1e-16 to 1e-4 off the line through its
+    other two corners, within or beyond their span, corners shuffled; and
+    the unit direction of that offset."""
+    a, b = rng.uniform(-1, 1, size=(2, 3))
+    off = np.cross(b - a, rng.normal(size=3))
+    off *= 10.0 ** rng.uniform(-16, -4) / np.linalg.norm(off)
+    apex = a + rng.uniform(-0.5, 1.5) * (b - a) + off
+    return np.array([a, b, apex])[rng.permutation(3)], _unit(off)
+
+
+def _oracle_case(rng, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """One (point, triangle) pair of ``family``."""
+    tri = rng.uniform(-1, 1, size=(3, 3))
+    near = rng.normal(size=3) * 10.0 ** rng.uniform(-16, -6)  # within 1e-6
+    if family == "random":
+        return rng.uniform(-1.5, 1.5, size=3), tri
+    if family == "near-vertex":
+        return tri[rng.integers(3)] + near, tri
+    if family == "near-edge":
+        i = rng.integers(3)
+        return tri[i] + rng.uniform() * (tri[(i + 1) % 3] - tri[i]) + near, tri
+    if family == "float-collinear":  # the apex on the line up to rounding
+        tri[2] = tri[0] + rng.uniform(-0.5, 1.5) * (tri[1] - tri[0])
+        return tri[0] + rng.uniform(-0.2, 1.2) * (tri[1] - tri[0]) + near, tri[rng.permutation(3)]
+    if family == "coincident":
+        tri[rng.integers(3)] = tri[rng.integers(3)]
+        return rng.uniform(-1.5, 1.5, size=3), tri
+    tri, off = _sliver(rng)
+    if family == "sliver-near":
+        i = rng.integers(3)
+        return tri[i] + rng.uniform(-0.1, 1.1) * (tri[(i + 1) % 3] - tri[i]) + near, tri
+    # Above a point of the sliver, along its exact normal or along the normal
+    # that rounding gives, which may point anywhere.
+    normal = np.cross(tri[1] - tri[0], off) if family == "sliver-above" else np.cross(tri[1] - tri[0], tri[2] - tri[0])
+    if not normal.any():
+        normal = rng.normal(size=3)
+    return rng.dirichlet([1, 1, 1]) @ tri + _unit(normal) * 10.0 ** rng.uniform(-12, 0), tri
+
+
+_ORACLE_FAMILIES = [
+    "random", "near-vertex", "near-edge", "float-collinear", "coincident",
+    "sliver-near", "sliver-above", "sliver-rounded-normal",
+]
 
 
 def _search_inputs(src: MeshReal, ref: MeshReal):
@@ -362,12 +441,29 @@ class TestClosestFaces:
         dists, idxs = closest_faces(pts, a, b, c)
         assert (idxs == 0).all()
         for p, d in zip(pts, dists):
-            assert point_to_triangle_distance(p, TRI) == pytest.approx(d, abs=1e-12)
+            assert reference_point_to_triangle_distance(p, TRI) == pytest.approx(d, abs=1e-12)
 
+    def test_point_over_a_sliver(self):
+        # The point lies 1.2e-9 from a sliver whose normal is 2.3e-9 long;
+        # the row-wise region walk measured it 0.027 away, beyond the face
+        # 0.01 above the point.
+        point = np.array([[-0.49173966853738243, 0.04543183679011754, 0.2512874005463036]])
+        sliver = np.array([
+            [-0.31758854052390006, 0.03137345865824748, 0.2620341568536586],
+            [-1.2878275589256516, 0.1096961605760185, 0.20216131184673736],
+            [-0.37330474771972644, 0.03587116073472887, 0.2585959434996835],
+        ])
+        above = point[0] + [0.0, 0.0, 0.01] + 1e-3 * np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+        tris = np.array([sliver, above])
+        dists, idxs = closest_faces(point, tris[:, 0], tris[:, 1], tris[:, 2])
+        assert idxs[0] == 0
+        assert dists[0] == pytest.approx(exact_point_to_triangle_distance(point[0], sliver), abs=1e-15)
+        assert dists[0] < 2e-9
 
     def test_zero_area_faces_match_the_scalar(self):
         # Two coincident corners in each of the three places, then collinear
-        # corners: every row is measured by its edges, as the scalar does.
+        # corners: every row is measured by its edges, as the exact oracle
+        # measures them.
         flat = [
             [[0, 0, 0], [0, 0, 0], [2, 0, 0]],
             [[2, 0, 0], [0, 0, 0], [0, 0, 0]],
@@ -381,16 +477,16 @@ class TestClosestFaces:
             assert dists[:2] == pytest.approx([1.0, 1.0], abs=1e-12)
             assert (idxs == 0).all()
             for p, d in zip(pts, dists):
-                assert d == pytest.approx(point_to_triangle_distance(p, tri), abs=1e-12)
+                assert d == pytest.approx(exact_point_to_triangle_distance(p, tri), abs=1e-12)
         # A mixed batch: the flat rows among proper triangles, each distance
-        # the scalar's minimum and each pick a face at that distance.
+        # the exact minimum and each pick a face at that distance.
         tris = np.concatenate([flat, [TRI], rng.uniform(-2, 3, size=(6, 3, 3))])
         tris = tris[rng.permutation(len(tris))]
         dists, idxs = closest_faces(pts, tris[:, 0], tris[:, 1], tris[:, 2])
         for p, d, i in zip(pts, dists, idxs):
-            scalar = [point_to_triangle_distance(p, tri) for tri in tris]
-            assert d == pytest.approx(min(scalar), abs=1e-12)
-            assert scalar[i] == pytest.approx(min(scalar), abs=1e-9)
+            exact = [exact_point_to_triangle_distance(p, tri) for tri in tris]
+            assert d == pytest.approx(min(exact), abs=1e-12)
+            assert exact[i] == pytest.approx(min(exact), abs=1e-9)
 
     @pytest.mark.parametrize("budget", [40, None])
     def test_zero_area_faces_match_dense(self, monkeypatch, budget):

@@ -32,10 +32,6 @@ def _best_times(*fns, repeats: int = 5) -> list[float]:
     return [min(fn_times) for fn_times in times]
 
 
-def _best_time(fn, repeats: int = 5) -> float:
-    return _best_times(fn, repeats=repeats)[0]
-
-
 def _with_big_triangle(mesh: MeshReal) -> MeshReal:
     """The mesh plus one 1 x 1 right triangle below it, off its surface."""
     n = len(mesh.vertices)
@@ -51,7 +47,8 @@ def test_normal_consistency_is_n_log_n_on_mixed_face_sizes():
         return _with_big_triangle(mesh), _with_big_triangle(MeshReal(mesh.vertices * 1.001, mesh.faces))
 
     small, large = pair(14, 25), pair(28, 50)  # 700 and 2,800 faces, plus one
-    assert _best_time(lambda: normal_consistency(*large)) / _best_time(lambda: normal_consistency(*small)) <= 8.0
+    t_small, t_large = _best_times(lambda: normal_consistency(*small), lambda: normal_consistency(*large))
+    assert t_large / t_small <= 8.0
 
 
 def test_filter_mesh_is_linear_on_mixed_face_sizes():
@@ -160,16 +157,14 @@ def _tetrahedra_outputs(count: int) -> list[PredictorAnswer]:
 
 def test_machine_is_linear_in_components():
     # Replay, and run with its directed-edge map, answering the same outputs.
-    def times(outputs: list[PredictorAnswer]) -> tuple[float, float]:
+    def calls(outputs: list[PredictorAnswer]):
         cfg = GeneratorConfig(bits=9, duplicate_check=True, max_steps=len(outputs))
         assert run(lambda q: outputs[q.step], cfg).transcript.outputs == outputs  # nothing coerced
-        return (
-            _best_time(lambda: replay_outputs(outputs, 9)),
-            _best_time(lambda: run(lambda q: outputs[q.step], cfg)),
-        )
+        return lambda: replay_outputs(outputs, 9), lambda: run(lambda q: outputs[q.step], cfg)
 
-    small, large = times(_tetrahedra_outputs(150)), times(_tetrahedra_outputs(600))
-    for t_small, t_large in zip(small, large):
+    small, large = calls(_tetrahedra_outputs(150)), calls(_tetrahedra_outputs(600))
+    for fn_small, fn_large in zip(small, large):
+        t_small, t_large = _best_times(fn_small, fn_large)
         assert t_large < 0.5
         assert t_large / t_small <= 8.0
 
