@@ -32,16 +32,20 @@ external predictors (``generator.PipePredictor``) answers with the same
 records.
 
 A mesh repeats few distinct records: each vertex appears once as a VERTEX
-output, and a grid has few distinct coordinates. So the text parser parses
-each distinct line once, in first-seen order, and maps every line through
-that table in one call; the binary parser converts each distinct 6
-coordinate bytes once and looks their repeats up. Both build vertex answers
-with ``tuple.__new__``.
+output, and a grid has few distinct coordinates. So the binary reader
+converts each distinct 6 coordinate bytes once and looks their repeats up.
+The text reader converts the whole body in a few calls: it matches the
+distinct vertex lines with one ``findall`` of the form the writer gives
+them, converts each distinct coordinate string once, checks every
+coordinate against the grid with one ``max`` and maps every line through
+that table in one call. A text stream that fails a check on that path, as
+every bad one does, is read again line by line, which names the first bad
+line; a line in another JSON form, spaces or another key order, goes
+through the JSON decoder, which gives the same answer or the same error.
+Both readers build vertex answers with ``tuple.__new__``.
 ``write_text_stream`` formats each distinct answer once, and
 ``write_obj`` each distinct grid coordinate and face index, then builds each
-section with one ``str.format`` call. A text record exactly as the writer
-formats it is converted without the JSON decoder; any other line is decoded
-as JSON, which gives the same answer or the same error. ``read_obj`` reads
+section with one ``str.format`` call. ``read_obj`` reads
 a well-formed OBJ file in batches of about 2^14 characters: its ``v`` lines
 of three coordinates and its ``f`` lines of three or more indices (``a/b/c``
 references allowed) are joined, split into tokens and converted in a few
@@ -522,8 +526,11 @@ def _parse_vertex(obj, where: str, cells: int = 1 << 16) -> QuantizedVertex:
 _CANONICAL_VERTEX = re.compile(
     r'\{"op":"v","z":(0|[1-9][0-9]{0,4}),"y":(0|[1-9][0-9]{0,4}),"x":(0|[1-9][0-9]{0,4})\}'
 )
+# Lines of that form, one match per line of a text joined by "\n".
+_CANONICAL_VERTEX_LINES = re.compile(f"^{_CANONICAL_VERTEX.pattern}$", re.M)
 _STOP_LINE = _answer_line(ANSWER_STOP)
 _EOS_LINE = _answer_line(ANSWER_EOS)
+_TEXT_CONTROLS = {_STOP_LINE: ANSWER_STOP, _EOS_LINE: ANSWER_EOS}
 
 
 def _parse_answer(line: str, where: str, cells: int = 1 << 16) -> PredictorAnswer:
@@ -561,10 +568,10 @@ def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
     (see ``_text_object``), is a FormatError naming its line number; the
     first such line of the text is named.
 
-    Each distinct body line is parsed once, in first-seen order, and every
-    line is then looked up in that table. A bad line's number is looked up,
-    as its first occurrence, only once it has failed."""
-    lines = text.replace("\r\n", "\n").removesuffix("\n").split("\n")
+    A body that ``_canonical_answers`` refuses is read by ``_parse_lines``."""
+    if "\r" in text:  # a scan for "\r" takes a fraction of one for "\r\n"
+        text = text.replace("\r\n", "\n")
+    lines = text.removesuffix("\n").split("\n")
     header = _text_object(lines[0], "line 1")
     if header.get("magic") != "TMTS":
         raise FormatError("bad magic in text header on line 1")
@@ -576,22 +583,46 @@ def _parse_text_stream(text: str) -> tuple[int, str, list[PredictorAnswer]]:
         raise FormatError(f"unknown order {order!r} on line 1")
     cells = 1 << bits
     body = lines[1:]
-    table = dict.fromkeys(body)  # each distinct line -> its answer; None if blank
-    try:
-        for line in table:
-            # A whitespace-only line that holds a line break is parsed, so
-            # that ``_text_object`` refuses it.
-            if line.strip() or _LINE_BREAK.search(line):
-                table[line] = _parse_answer(line, "", cells)
-    except FormatError:
-        # The first bad line of the text is the first occurrence of the
-        # first distinct line that fails: parse it again, naming that line.
-        _parse_answer(line, f"line {2 + body.index(line)}", cells)
-        raise
-    answers = list(map(table.__getitem__, body))
-    if None in table.values():  # drop the blank lines
-        answers = list(filter(None, answers))
+    answers = _canonical_answers(body, cells)
+    if answers is None:
+        answers = _parse_lines(body, cells)
     return bits, order, answers
+
+
+def _canonical_answers(body: list[str], cells: int) -> list[PredictorAnswer] | None:
+    """The answers of ``body``, or None unless each line is exactly as
+    ``_answer_line`` writes it, with every coordinate below ``cells``.
+
+    The distinct vertex lines are joined and matched in one ``findall``;
+    anchored to line starts and ends, each match is one whole line, so
+    every line matched when there are as many matches as lines. Each
+    distinct coordinate string, of a few hundred on a 9-bit grid, goes
+    through ``int`` once. Answers are built with ``tuple.__new__``, the
+    constructor that both NamedTuples call:
+    ``answer_vertex(QuantizedVertex(x, y, z))``."""
+    keys = set(body).difference(_TEXT_CONTROLS)
+    found = _CANONICAL_VERTEX_LINES.findall("\n".join(keys))
+    if len(found) != len(keys):
+        return None
+    zyx = list(map(_Once(int).__getitem__, chain.from_iterable(found)))
+    if max(zyx, default=0) >= cells:
+        return None
+    vertices = map(tuple.__new__, repeat(QuantizedVertex), zip(zyx[2::3], zyx[1::3], zyx[0::3]))
+    table = dict(zip(keys, map(tuple.__new__, repeat(PredictorAnswer), zip(repeat(VERTEX), vertices))))
+    table.update(_TEXT_CONTROLS)
+    return list(map(table.__getitem__, body))
+
+
+def _parse_lines(body: list[str], cells: int) -> list[PredictorAnswer]:
+    """The answers of ``body``, the lines after the header, without its
+    blank lines; FormatError naming the first bad line."""
+    # A whitespace-only line that holds a line break is parsed, so that
+    # ``_text_object`` refuses it.
+    return [
+        _parse_answer(line, f"line {i}", cells)
+        for i, line in enumerate(body, 2)
+        if line.strip() or _LINE_BREAK.search(line)
+    ]
 
 
 def write_text_stream(seq: TokenSequence, path: Union[str, Path]) -> SequenceStats:

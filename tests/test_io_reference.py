@@ -5,6 +5,7 @@ exception type, message, ``.line`` and ``.offset`` on every input."""
 
 from __future__ import annotations
 
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -500,7 +501,7 @@ _TEXT_RECORDS = _rare(
         '{{"op":"v","z":{},"y":{},"x":{}}}'.format,
         st.integers(0, 3),
         st.integers(0, 3),
-        st.sampled_from([0, 1, 2, 127, 128, 511, 512, 65535]),
+        st.sampled_from([0, 1, 2, 127, 128, 511, 512, 65535, 65536, 99999]),
     )
     | st.sampled_from(['{"op":"stop"}', "", "  "]),
 )
@@ -520,12 +521,26 @@ _TEXT_ENDS = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0b", "\u2028", " "])
 
 
 @st.composite
+def _off_grid(draw, bits: int) -> tuple[int, int, int]:
+    """z, y and x of a vertex just off a ``bits``-bit grid: one coordinate
+    is ``2**bits``, the others on the grid."""
+    edge = 1 << bits
+    return tuple(draw(st.permutations([edge, edge - 1, 0])))
+
+
+@st.composite
 def _text_streams(draw) -> str:
     pool = draw(st.lists(_TEXT_RECORDS, min_size=1, max_size=6))
     body = draw(st.lists(st.sampled_from(pool), max_size=30))  # many repeats
+    header = draw(_TEXT_HEADERS)
+    bits = re.search(r'"bits":([0-9]+)', header)
+    if bits and draw(st.sampled_from([True] + [False] * 3)):
+        # Among canonical records only, when the pool holds only those.
+        record = '{{"op":"v","z":{},"y":{},"x":{}}}'.format(*draw(_off_grid(int(bits.group(1)))))
+        body.insert(draw(st.integers(0, len(body))), record)
     if draw(st.sampled_from([True] * 3 + [False])):
         body.append('{"op":"eos"}')
-    lines = [draw(_TEXT_HEADERS), *body]
+    lines = [header, *body]
     return "".join(line + draw(_TEXT_ENDS) for line in lines)
 
 
@@ -556,8 +571,8 @@ _OPS = _rare(
     st.tuples(
         st.just(0),
         st.sampled_from([0, 1, 5, 127, 128, 511, 512, 65535]),
-        st.sampled_from([0, 1, 5, 127]),
-        st.sampled_from([0, 3]),
+        st.sampled_from([0, 1, 5, 127, 65535]),
+        st.sampled_from([0, 3, 65535]),
     ).map(lambda r: struct.pack("<BHHH", *r))
     | st.just(b"\x01"),
 )
@@ -567,13 +582,18 @@ _OPS = _rare(
 def _binary_streams(draw) -> bytes:
     pool = draw(st.lists(_OPS, min_size=1, max_size=6))
     records = draw(st.lists(st.sampled_from(pool), max_size=30))  # many repeats
+    bits = draw(st.sampled_from([1, 2, 7, 9, 16] * 4 + [0, 17]))
+    if bits < 16 and draw(st.sampled_from([True] + [False] * 3)):
+        # Among valid records only, when the pool holds only those.
+        record = struct.pack("<BHHH", 0, *draw(_off_grid(bits)))
+        records.insert(draw(st.integers(0, len(records))), record)
     if draw(st.sampled_from([True] * 3 + [False])):
         records.append(b"\x02")
     count = len(records) + draw(st.sampled_from([0] * 12 + [-1, 1, 1000]))
     header = (
         draw(st.sampled_from([b"TMTS"] * 8 + [b"TMTX"]))
         + bytes([draw(st.sampled_from([1] * 8 + [2]))])
-        + bytes([draw(st.sampled_from([1, 2, 7, 9, 16] * 4 + [0, 17]))])
+        + bytes([bits])
         + bytes([draw(st.sampled_from([0, 1] * 6 + [2]))])
         + struct.pack("<I", max(count, 0))
     )
@@ -678,6 +698,21 @@ def test_vertex_answers_hold_quantized_vertices(corpus7, tmp_path):
             for answers in (seq.outputs, binary, text):
                 assert {type(a) for a in answers} == {PredictorAnswer}
                 assert {type(a.vertex) for a in answers if a.kind == VERTEX} == {QuantizedVertex}, name
+
+
+def test_written_text_streams_take_the_whole_stream_path(corpus7, tmp_path, monkeypatch):
+    # Every text stream that meshtok writes is read without the line-by-line
+    # reader, which only a stream that fails a check reaches.
+    def refuse(*_args):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(streamio, "_parse_lines", refuse)
+    path = tmp_path / "s.jsonl"
+    for name, mesh in corpus7:
+        for order in ("dfs", "bfs"):
+            seq = encode(mesh, order)
+            write_text_stream(seq, path)
+            assert read_stream_answers(path) == (seq.bits, order, seq.outputs), name
 
 
 # --- writers and the grammar walk --------------------------------------------
